@@ -25,6 +25,8 @@ struct ChaosOptions {
   // child keeps computing: the lease expires on a live worker. The
   // coordinator must revoke + retry, and later drop this worker's
   // out-of-lease (stale) result instead of double-counting the shard.
+  // The muted worker holds each result until two leases after its
+  // assignment arrived, so the lease expires however fast the shard ran.
   std::ptrdiff_t mute_heartbeats_on = -1;
 
   // Truncate the Nth result's payload to half before sending (framing

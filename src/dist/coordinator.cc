@@ -47,6 +47,7 @@ struct Shard {
   int attempts = 0;           // assignments handed out so far
   double next_eligible = 0.0; // backoff gate for the next assignment
   double assigned_at = 0.0;   // of the current attempt (steal-age)
+  int last_fd = -1;           // connection of the latest attempt
   bool stolen = false;        // one preemption request per attempt
   harness::ShardResult result;  // valid when kDone
 };
@@ -458,22 +459,35 @@ struct Coordinator {
     }
   }
 
+  [[nodiscard]] bool other_worker_idle(const Conn& c) const {
+    for (const Conn& o : conns) {
+      if (&o != &c && !o.dead && o.greeted && o.attempt == 0) return true;
+    }
+    return false;
+  }
+
   void assign_ready() {
     const double now = now_seconds();
     for (Conn& c : conns) {
       if (c.dead || !c.greeted || c.attempt != 0) continue;
       // First ready pending shard in queue order: planned shards are in
       // test-then-DFS order and stolen sub-shards append after their
-      // parent, which keeps assignment close to serial DFS order.
+      // parent, which keeps assignment close to serial DFS order. A
+      // retried shard skips the worker that lost its last attempt while
+      // another worker is idle: a worker that keeps losing it (a muted
+      // one, say) would otherwise spend the shard's whole retry budget.
+      const bool other_idle = other_worker_idle(c);
       std::size_t pick = shards.size();
       for (std::size_t sidx = 0; sidx < shards.size(); ++sidx) {
-        if (shards[sidx].state == Shard::State::kPending &&
-            shards[sidx].next_eligible <= now) {
-          pick = sidx;
-          break;
+        const Shard& s = shards[sidx];
+        if (s.state != Shard::State::kPending || s.next_eligible > now) {
+          continue;
         }
+        if (other_idle && s.last_fd == c.fd) continue;
+        pick = sidx;
+        break;
       }
-      if (pick == shards.size()) return;
+      if (pick == shards.size()) continue;
       Shard& s = shards[pick];
       Assignment asg;
       // High 32 bits: this incarnation's epoch. The counter restarts at
@@ -488,6 +502,7 @@ struct Coordinator {
       s.state = Shard::State::kRunning;
       ++s.attempts;
       s.assigned_at = now;
+      s.last_fd = c.fd;
       s.stolen = false;
       live[asg.shard_id] = Attempt{pick, c.fd, now + d.lease_seconds};
       c.attempt = asg.shard_id;

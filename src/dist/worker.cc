@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include <algorithm>
 
@@ -176,6 +177,10 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
       opts.chaos.mute_heartbeats_on >= 0 &&
       static_cast<std::uint64_t>(opts.chaos.mute_heartbeats_on) <=
           ws.assignments;
+  // A muted worker holds its result until its lease has surely expired:
+  // two leases, i.e. six heartbeat intervals (the coordinator heartbeats
+  // at a third of the lease), after the assignment arrived.
+  const double hold_until = now_seconds() + 6.0 * ws.hb_interval;
   double next_hb = now_seconds() + ws.hb_interval;
   Outcome out = Outcome::kDone;
   bool done = false;
@@ -249,6 +254,10 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
         bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
                   !result_text.empty();
         if (ok) {
+          const double hold = hold_until - now_seconds();
+          if (mute_hb && hold > 0) {
+            std::this_thread::sleep_for(std::chrono::duration<double>(hold));
+          }
           if (!send_result(ws, opts, a.shard_id, std::move(result_text))) {
             out = Outcome::kConnLost;
           }

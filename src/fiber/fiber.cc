@@ -4,23 +4,91 @@
 #include <unistd.h>
 
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
+
+#if CDS_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "cds::fiber: no stack switch for this architecture; port cds_fiber_switch and the first frame Fiber::reset builds"
+#endif
+#if defined(__CET__) && (__CET__ & 2)
+#error "cds::fiber: cds_fiber_switch does not maintain a CET shadow stack; compile fiber.cc with -fcf-protection=none or =branch"
+#endif
+
+// Saves the running context's callee-saved registers, MXCSR and x87
+// control word on its own stack, stores the stack pointer to *save_sp,
+// loads load_sp and restores the same state from there. `arg` arrives in
+// %rdi on the resumed side: a fresh fiber's first frame "returns" into
+// Fiber::trampoline, which takes it as its parameter, while an ordinary
+// resume returns from its own call and ignores it.
+extern "C" void cds_fiber_switch(void** save_sp, void* load_sp, void* arg);
+
+asm(R"(
+	.text
+	.globl	cds_fiber_switch
+	.hidden	cds_fiber_switch
+	.type	cds_fiber_switch, @function
+	.p2align 4
+cds_fiber_switch:
+	pushq	%rbp
+	pushq	%rbx
+	pushq	%r12
+	pushq	%r13
+	pushq	%r14
+	pushq	%r15
+	subq	$8, %rsp
+	stmxcsr	(%rsp)
+	fnstcw	4(%rsp)
+	movq	%rsp, (%rdi)
+	movq	%rsi, %rsp
+	ldmxcsr	(%rsp)
+	fldcw	4(%rsp)
+	addq	$8, %rsp
+	popq	%r15
+	popq	%r14
+	popq	%r13
+	popq	%r12
+	popq	%rbx
+	popq	%rbp
+	movq	%rdx, %rdi
+	ret
+	.size	cds_fiber_switch, .-cds_fiber_switch
+)");
 
 namespace cds::fiber {
 
 namespace {
-// makecontext cannot portably pass pointer arguments, so the fiber being
-// started is handed to the trampoline through a file-local slot. The whole
-// checker runs on one OS thread, so this cannot race.
-Fiber* g_starting = nullptr;
 void (*g_fallthrough)(Fiber&) = nullptr;
+
+#if CDS_FIBER_ASAN
+// The fiber that started the switch in progress; its resumed peer records
+// a native fiber's stack bounds from what ASan reports.
+thread_local Fiber* g_asan_leaving = nullptr;
+#endif
 
 std::size_t round_up_to_page(std::size_t n) {
   long page = ::sysconf(_SC_PAGESIZE);
   auto p = page > 0 ? static_cast<std::size_t>(page) : std::size_t{4096};
   return (n + p - 1) / p * p;
 }
+
+// What cds_fiber_switch pops when it switches into a fresh fiber, lowest
+// address first.
+struct FirstFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t fpu_cw;
+  std::uint16_t pad;
+  std::uint64_t r15, r14, r13, r12, rbx, rbp;
+  std::uint64_t entry;        // popped by ret: Fiber::trampoline
+  std::uint64_t return_addr;  // trampoline's own: null ends backtraces
+};
+static_assert(sizeof(FirstFrame) == 72);
 }  // namespace
 
 void Fiber::set_fallthrough_handler(void (*handler)(Fiber&)) {
@@ -51,19 +119,29 @@ void Fiber::reset(std::function<void()> entry) {
   assert(!native_);
   if (map_ == nullptr && !heap_stack_) allocate_stack();
   entry_ = std::move(entry);
-  started_ = false;
   finished_ = false;
   armed_ = true;
-  getcontext(&ctx_);
-  if (map_ != nullptr) {
-    ctx_.uc_stack.ss_sp = map_ + guard_bytes_;
-    ctx_.uc_stack.ss_size = map_bytes_ - guard_bytes_;
-  } else {
-    ctx_.uc_stack.ss_sp = heap_stack_.get();
-    ctx_.uc_stack.ss_size = kStackSize;
-  }
-  ctx_.uc_link = nullptr;  // fibers always switch out explicitly
-  makecontext(&ctx_, &Fiber::trampoline, 0);
+  char* base = map_ != nullptr ? map_ + guard_bytes_ : heap_stack_.get();
+  const std::size_t size =
+      map_ != nullptr ? map_bytes_ - guard_bytes_ : kStackSize;
+#if CDS_FIBER_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(base, size);
+  asan_fake_stack_ = nullptr;
+  asan_bottom_ = base;
+  asan_size_ = size;
+#endif
+  // trampoline is entered by a `ret` that leaves %rsp at the frame's
+  // return_addr slot. Putting that slot 8 bytes below a 16-byte boundary
+  // gives the alignment a real call would. The fiber starts with the
+  // floating-point control state of the thread calling reset().
+  const auto top = reinterpret_cast<std::uintptr_t>(base + size) &
+                   ~std::uintptr_t{15};
+  auto* f =
+      new (reinterpret_cast<void*>(top - sizeof(FirstFrame))) FirstFrame{};
+  asm volatile("stmxcsr %0" : "=m"(f->mxcsr));
+  asm volatile("fnstcw %0" : "=m"(f->fpu_cw));
+  f->entry = reinterpret_cast<std::uintptr_t>(&Fiber::trampoline);
+  sp_ = f;
 }
 
 bool Fiber::guard_contains(const void* p) const {
@@ -81,9 +159,10 @@ bool Fiber::stack_contains(const void* p) const {
          c < heap_stack_.get() + kStackSize;
 }
 
-void Fiber::trampoline() {
-  Fiber* self = g_starting;
-  g_starting = nullptr;
+void Fiber::trampoline(Fiber* self) {
+#if CDS_FIBER_ASAN
+  asan_finish_switch(nullptr);
+#endif
   self->entry_();
   // Entry wrappers must mark_finished() and switch back to the scheduler;
   // falling off the end of a fiber would resume an undefined context. The
@@ -96,11 +175,41 @@ void Fiber::trampoline() {
 
 void Fiber::switch_to(Fiber& from) {
   assert(armed_ && !finished_ && this != &from);
-  if (!native_ && !started_) {
-    started_ = true;
-    g_starting = this;
-  }
-  swapcontext(&from.ctx_, &ctx_);
+#if CDS_FIBER_ASAN
+  // A finished fiber is never resumed: a null save slot lets ASan free
+  // its fake stack.
+  g_asan_leaving = &from;
+  __sanitizer_start_switch_fiber(
+      from.finished_ ? nullptr : &from.asan_fake_stack_, asan_bottom_,
+      asan_size_);
+#endif
+  cds_fiber_switch(&from.sp_, sp_, this);
+#if CDS_FIBER_ASAN
+  asan_finish_switch(from.asan_fake_stack_);
+#endif
 }
+
+void Fiber::resumed_by_jump() {
+#if CDS_FIBER_ASAN
+  // The fiber jumped away from never runs again: drop its fake stack.
+  g_asan_leaving = nullptr;
+  __sanitizer_start_switch_fiber(nullptr, asan_bottom_, asan_size_);
+  asan_finish_switch(asan_fake_stack_);
+#endif
+}
+
+#if CDS_FIBER_ASAN
+void Fiber::asan_finish_switch(void* fake_stack) {
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  Fiber* prev = g_asan_leaving;
+  g_asan_leaving = nullptr;
+  if (prev != nullptr && prev->native_ && prev->asan_size_ == 0) {
+    prev->asan_bottom_ = bottom;
+    prev->asan_size_ = size;
+  }
+}
+#endif
 
 }  // namespace cds::fiber

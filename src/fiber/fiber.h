@@ -1,4 +1,4 @@
-// Cooperative fibers built on ucontext.
+// Cooperative fibers with a hand-written x86-64 stack switch.
 //
 // The model checker needs full control over thread interleaving: every
 // modeled thread runs as a fiber that yields to the scheduler at each
@@ -11,20 +11,41 @@
 // scheduler <-> thread; a modeled thread's entry wrapper must switch back
 // to the scheduler (after calling mark_finished()) instead of returning.
 //
+// A switch is one call into a small assembly routine (fiber.cc). It pushes
+// the System V callee-saved registers (rbx, rbp, r12-r15), MXCSR and the
+// x87 control word onto the running stack, parks the stack pointer in the
+// outgoing fiber, loads the incoming fiber's and pops the same state back.
+// It makes no system call: the signal mask is not part of a fiber and
+// stays one per OS thread. Floating-point control state (rounding mode,
+// exception masks) is per fiber. reset() builds a first frame by hand that
+// the switch "returns" into, entering trampoline() with the ABI's stack
+// alignment. This routine and that frame are the only architecture-specific
+// code in the checker; other targets fail to compile until they are ported.
+//
 // Stacks are mmap'd with a PROT_NONE guard region below them, so a test
 // body that overflows its fiber stack faults deterministically in the
 // guard instead of silently corrupting a neighboring allocation; the
 // engine's crash containment turns that fault into a diagnosed violation
 // (see guard_contains()). When mmap is unavailable the stack falls back to
 // a plain heap allocation without a guard.
+//
+// Under AddressSanitizer every switch is announced through the sanitizer's
+// fiber hooks, and reset() unpoisons the reused stack: an abandoned fiber's
+// frames never unwind, so their redzones would otherwise outlive them.
 #ifndef CDS_FIBER_FIBER_H
 #define CDS_FIBER_FIBER_H
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CDS_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CDS_FIBER_ASAN 1
+#endif
+#endif
 
 namespace cds::fiber {
 
@@ -36,9 +57,10 @@ class Fiber {
 
   Fiber() = default;
   ~Fiber();
-  // Not movable: glibc's ucontext_t stores an internal self-pointer
-  // (uc_mcontext.fpregs aims into the struct), so a Fiber must stay at a
-  // stable address once reset() has run. Hold fibers by unique_ptr.
+  // Not movable: a started fiber's trampoline frame holds `this` (it runs
+  // entry_ in place and hands *this to the fallthrough handler), so a
+  // Fiber must stay at a stable address once reset() has run. Hold fibers
+  // by unique_ptr.
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
   Fiber(Fiber&&) = delete;
@@ -51,6 +73,12 @@ class Fiber {
   // Switches from `from` (which must be the currently running fiber) into
   // this fiber. Returns when some fiber later switches back into `from`.
   void switch_to(Fiber& from);
+
+  // Crash containment leaves a running fiber by siglongjmp onto this
+  // native fiber's stack instead of switching. Call right after landing:
+  // under AddressSanitizer it tells the runtime which stack is live again.
+  // Otherwise it does nothing.
+  void resumed_by_jump();
 
   // The entry wrapper calls this right before its final switch out.
   void mark_finished() { finished_ = true; }
@@ -79,10 +107,16 @@ class Fiber {
   static void set_fallthrough_handler(void (*handler)(Fiber&));
 
  private:
-  static void trampoline();
+  // First code a fresh fiber runs; the switch hands it the fiber in %rdi.
+  [[noreturn]] static void trampoline(Fiber* self);
   void allocate_stack();
+#if CDS_FIBER_ASAN
+  static void asan_finish_switch(void* fake_stack);
+#endif
 
-  ucontext_t ctx_{};
+  // Stack pointer saved by the last switch out of this fiber, or the
+  // hand-built first frame after reset(). Meaningless while running.
+  void* sp_ = nullptr;
   // mmap'd region: [map_, map_ + guard_bytes_) is the PROT_NONE guard,
   // [map_ + guard_bytes_, map_ + map_bytes_) the usable stack (grows down
   // toward the guard). Null when the heap fallback is in use.
@@ -91,10 +125,16 @@ class Fiber {
   std::size_t guard_bytes_ = 0;
   std::unique_ptr<char[]> heap_stack_;  // fallback when mmap fails
   std::function<void()> entry_;
-  bool started_ = false;
   bool finished_ = false;
   bool armed_ = false;
   bool native_ = false;
+#if CDS_FIBER_ASAN
+  // ASan's fake stack while switched out, and this fiber's stack bounds
+  // (a native fiber's are learned on its first switch out).
+  void* asan_fake_stack_ = nullptr;
+  const void* asan_bottom_ = nullptr;
+  std::size_t asan_size_ = 0;
+#endif
 };
 
 }  // namespace cds::fiber

@@ -32,12 +32,15 @@ Engine* g_engine = nullptr;
 //
 // The handler runs on a dedicated sigaltstack so that a fiber-stack
 // overflow (whose own stack is unusable, by definition) can still be
-// caught. sigsetjmp(.., 1) saves the signal mask, so the siglongjmp also
-// unblocks the signal being handled.
+// caught. The window is armed with sigsetjmp(.., 0): saving the mask
+// would cost an rt_sigprocmask system call on every scheduling step.
+// The kernel blocks the handled signal while its handler runs, so the
+// crash path instead restores the mask install_crash_handlers() saved.
 sigjmp_buf g_crash_jmp;
 volatile sig_atomic_t g_crash_armed = 0;
 volatile sig_atomic_t g_crash_sig = 0;
 void* volatile g_crash_addr = nullptr;
+sigset_t g_crash_mask;
 
 constexpr int kCrashSignals[] = {SIGSEGV, SIGBUS, SIGFPE, SIGABRT};
 constexpr int kNumCrashSignals =
@@ -339,6 +342,7 @@ void Engine::install_crash_handlers() {
   ss.ss_size = sizeof g_altstack;
   ss.ss_flags = 0;
   ::sigaltstack(&ss, &g_old_altstack);
+  ::pthread_sigmask(SIG_SETMASK, nullptr, &g_crash_mask);
   struct sigaction sa{};
   sa.sa_sigaction = &crash_signal_handler;
   sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
@@ -941,11 +945,13 @@ void Engine::run_one(const TestFn& test) {
       // and the fiber's switch back. A fatal signal inside it siglongjmps
       // here (onto the scheduler's native stack, abandoning the fiber) and
       // becomes a kCrash violation instead of killing the process.
-      if (sigsetjmp(g_crash_jmp, 1) == 0) {
+      if (sigsetjmp(g_crash_jmp, 0) == 0) {
         g_crash_armed = 1;
         fib.switch_to(sched_fiber_);
         g_crash_armed = 0;
       } else {
+        sched_fiber_.resumed_by_jump();
+        ::pthread_sigmask(SIG_SETMASK, &g_crash_mask, nullptr);
         contain_crash(static_cast<int>(g_crash_sig), g_crash_addr);
         break;
       }

@@ -19,7 +19,11 @@ void Recorder::begin_execution(const void* backend_tag) {
   engine_tag_ = backend_tag;
   calls_.clear();
   next_object_ = 0;
-  depth_.assign(depth_.size(), 0);
+  for (Slot& s : slots_) {
+    s.depth = 0;
+    s.call.ops.clear();
+    s.potentials.clear();
+  }
 }
 
 std::uint32_t Recorder::new_object() {
@@ -27,25 +31,68 @@ std::uint32_t Recorder::new_object() {
   return next_object_++;
 }
 
-int Recorder::enter(int tid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<std::size_t>(tid) >= depth_.size()) {
-    depth_.resize(static_cast<std::size_t>(tid) + 1, 0);
+Recorder::Slot& Recorder::slot(int tid) {
+  assert(tid >= 0);
+  if (static_cast<std::size_t>(tid) >= slots_.size()) {
+    slots_.resize(static_cast<std::size_t>(tid) + 1);
   }
-  return depth_[static_cast<std::size_t>(tid)]++;
+  return slots_[static_cast<std::size_t>(tid)];
+}
+
+bool Recorder::enter(int tid, CallRecord call) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& s = slot(tid);
+  if (s.depth++ > 0) return false;
+  s.call = std::move(call);
+  s.potentials.clear();
+  return true;
 }
 
 void Recorder::leave(int tid) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(static_cast<std::size_t>(tid) < depth_.size() &&
-         depth_[static_cast<std::size_t>(tid)] > 0);
-  --depth_[static_cast<std::size_t>(tid)];
+  Slot& s = slot(tid);
+  assert(s.depth > 0);
+  if (--s.depth > 0) return;
+  s.call.id = static_cast<std::uint32_t>(calls_.size());
+  calls_.push_back(std::move(s.call));
+  s.call = CallRecord{};
 }
 
-void Recorder::commit(CallRecord rec) {
+void Recorder::set_return(int tid, std::int64_t v) {
   std::lock_guard<std::mutex> lock(mu_);
-  rec.id = static_cast<std::uint32_t>(calls_.size());
-  calls_.push_back(std::move(rec));
+  Slot& s = slot(tid);
+  s.call.c_ret = v;
+  s.call.has_ret = true;
+}
+
+void Recorder::define_op(int tid, OPEvent ev) {
+  std::lock_guard<std::mutex> lock(mu_);
+  slot(tid).call.ops.push_back(std::move(ev));
+}
+
+void Recorder::add_potential(int tid, int label, OPEvent ev) {
+  std::lock_guard<std::mutex> lock(mu_);
+  slot(tid).potentials.emplace_back(label, std::move(ev));
+}
+
+void Recorder::check_potentials(int tid, int label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& s = slot(tid);
+  for (auto it = s.potentials.begin(); it != s.potentials.end();) {
+    if (it->first == label) {
+      s.call.ops.push_back(std::move(it->second));
+      it = s.potentials.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Recorder::clear_ops(int tid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& s = slot(tid);
+  s.call.ops.clear();
+  s.potentials.clear();
 }
 
 Object::Object(const Specification& s) : spec_(&s) {
@@ -65,34 +112,29 @@ Method::Method(const Object& obj, const char* name,
   rec_ = r;
   backend_ = b;
   tid_ = b->current_thread();
-  // Only the outermost API method call is recorded (Section 4.3: nested
-  // API calls are internal calls).
-  int prev_depth = rec_->enter(tid_);
-  if (prev_depth > 0) return;
-  active_ = true;
-  call_.spec = spec_;
-  call_.object = obj.id();
-  call_.method = spec_->method_index(name);
-  assert(call_.method >= 0 && "method not declared in the specification");
-  call_.thread = tid_;
+  CallRecord call;
+  call.spec = spec_;
+  call.object = obj.id();
+  call.method = spec_->method_index(name);
+  call.thread = tid_;
   int i = 0;
   for (std::int64_t a : args) {
-    if (i < CallRecord::kMaxArgs) call_.args[i++] = a;
+    if (i < CallRecord::kMaxArgs) call.args[i++] = a;
   }
-  call_.nargs = i;
+  call.nargs = i;
+  const int method = call.method;
+  active_ = rec_->enter(tid_, std::move(call));
+  assert((!active_ || method >= 0) &&
+         "method not declared in the specification");
+  (void)method;
 }
 
 Method::~Method() {
-  if (rec_ == nullptr) return;
-  rec_->leave(tid_);
-  if (active_) rec_->commit(std::move(call_));
+  if (rec_ != nullptr) rec_->leave(tid_);
 }
 
 std::int64_t Method::ret(std::int64_t v) {
-  if (active_) {
-    call_.c_ret = v;
-    call_.has_ret = true;
-  }
+  if (active_) rec_->set_return(tid_, v);
   return v;
 }
 
@@ -107,42 +149,29 @@ void Method::note_site(const char* kind, const std::source_location& loc) const 
 
 void Method::op_define(std::source_location loc) {
   note_site("op_define", loc);
-  if (!active_) return;
-  call_.ops.push_back(snapshot());
+  if (active_) rec_->define_op(tid_, snapshot());
 }
 
 void Method::potential_op(int label, std::source_location loc) {
   note_site("potential_op", loc);
-  if (!active_) return;
-  potentials_.emplace_back(label, snapshot());
+  if (active_) rec_->add_potential(tid_, label, snapshot());
 }
 
 void Method::op_check(int label, std::source_location loc) {
   note_site("op_check", loc);
-  if (!active_) return;
-  for (auto it = potentials_.begin(); it != potentials_.end();) {
-    if (it->first == label) {
-      call_.ops.push_back(std::move(it->second));
-      it = potentials_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  if (active_) rec_->check_potentials(tid_, label);
 }
 
 void Method::op_clear(std::source_location loc) {
   note_site("op_clear", loc);
-  if (!active_) return;
-  call_.ops.clear();
-  potentials_.clear();
+  if (active_) rec_->clear_ops(tid_);
 }
 
 void Method::op_clear_define(std::source_location loc) {
   note_site("op_clear_define", loc);
   if (!active_) return;
-  call_.ops.clear();
-  potentials_.clear();
-  call_.ops.push_back(snapshot());
+  rec_->clear_ops(tid_);
+  rec_->define_op(tid_, snapshot());
 }
 
 }  // namespace cds::spec

@@ -44,6 +44,11 @@ namespace cds::spec {
 // the stress backend commits arrive from concurrent real threads; under
 // the model checker all fibers share one OS thread and the lock is
 // uncontended. `calls()` is only valid between iterations (after joins).
+//
+// Each thread's open call lives here, not in its Method frame: the model
+// checker abandons executions with fibers suspended mid-call, and those
+// frames never run their destructors. begin_execution() clears every
+// thread's slot, which releases what an abandoned call had recorded.
 class Recorder {
  public:
   // The process-global recorder the model checker's SpecChecker arms
@@ -60,19 +65,35 @@ class Recorder {
 
   std::uint32_t new_object();
 
-  // Per-thread API-call nesting (outermost-only recording).
-  [[nodiscard]] int enter(int tid);  // returns previous depth
+  // Per-thread API-call nesting: only the outermost call is recorded
+  // (Section 4.3). enter() returns whether `call` is outermost; if so it
+  // becomes the thread's open call, which the leave() closing it commits.
+  [[nodiscard]] bool enter(int tid, CallRecord call);
   void leave(int tid);
 
-  void commit(CallRecord rec);
+  // Edits to thread `tid`'s open call, made by the Method annotations.
+  void set_return(int tid, std::int64_t v);
+  void define_op(int tid, OPEvent ev);
+  void add_potential(int tid, int label, OPEvent ev);
+  // Promotes the potential ordering points with this label.
+  void check_potentials(int tid, int label);
+  // Drops every ordering point and potential one recorded so far.
+  void clear_ops(int tid);
 
   [[nodiscard]] const std::vector<CallRecord>& calls() const { return calls_; }
 
  private:
+  struct Slot {
+    int depth = 0;
+    CallRecord call;
+    std::vector<std::pair<int, OPEvent>> potentials;
+  };
+  Slot& slot(int tid);  // requires mu_
+
   const void* engine_tag_ = nullptr;
   std::vector<CallRecord> calls_;
   std::uint32_t next_object_ = 0;
-  std::vector<int> depth_;
+  std::vector<Slot> slots_;
   std::mutex mu_;
 };
 
@@ -125,13 +146,13 @@ class Method {
   [[nodiscard]] OPEvent snapshot() const;
   void note_site(const char* kind, const std::source_location& loc) const;
 
+  // The call's record is the recorder's per-thread slot, so a frame that
+  // never unwinds (an abandoned fiber) owns no heap.
   Recorder* rec_ = nullptr;
   harness::Backend* backend_ = nullptr;
   const Specification* spec_ = nullptr;
   int tid_ = -1;
   bool active_ = false;
-  CallRecord call_;
-  std::vector<std::pair<int, OPEvent>> potentials_;
 };
 
 }  // namespace cds::spec

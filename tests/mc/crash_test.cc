@@ -4,6 +4,8 @@
 // the crash-repro replay loop.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <string>
@@ -37,6 +39,35 @@ TEST(Crash, SigsegvIsContainedAsViolation) {
     raise(SIGSEGV);
   });
   expect_single_crash(stats, e, "SIGSEGV");
+}
+
+TEST(Crash, ContainedCrashLeavesTheCallersSignalMask) {
+  // The kernel blocks SIGSEGV while its handler runs and the containment
+  // window does not save the mask per step, so the crash path must put
+  // back exactly the mask explore() started with: SIGSEGV unblocked again,
+  // the caller's own blocked SIGUSR1 kept.
+  sigset_t usr1;
+  sigemptyset(&usr1);
+  sigaddset(&usr1, SIGUSR1);
+  sigset_t original;
+  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &usr1, &original), 0);
+  sigset_t before;
+  ASSERT_EQ(pthread_sigmask(SIG_SETMASK, nullptr, &before), 0);
+  mc::Engine e;
+  mc::ExplorationStats stats = e.explore([](mc::Exec& x) {
+    (void)x;
+    raise(SIGSEGV);
+  });
+  sigset_t after;
+  ASSERT_EQ(pthread_sigmask(SIG_SETMASK, nullptr, &after), 0);
+  ASSERT_EQ(pthread_sigmask(SIG_SETMASK, &original, nullptr), 0);
+  expect_single_crash(stats, e, "SIGSEGV");
+  EXPECT_EQ(sigismember(&after, SIGUSR1), 1);
+  EXPECT_EQ(sigismember(&after, SIGSEGV), 0);
+  for (int sig = 1; sig <= SIGRTMAX; ++sig) {
+    EXPECT_EQ(sigismember(&before, sig), sigismember(&after, sig))
+        << "signal " << sig;
+  }
 }
 
 TEST(Crash, SigfpeIsContainedAsViolation) {

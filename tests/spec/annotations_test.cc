@@ -2,7 +2,9 @@
 // OPCheck / OPClear), spec-line accounting, and the composability of
 // per-object checking (paper Section 3.2).
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include "ds/suite.h"
 #include "harness/runner.h"
 #include "mc/atomic.h"
 #include "spec/annotations.h"
@@ -224,6 +226,27 @@ TEST(Annotations, InactiveWithoutChecker) {
   });
   EXPECT_EQ(stats.feasible, 1u);
   EXPECT_EQ(stats.violations_total, 0u);
+}
+
+// Executions that end early (rf_infeasible, sleep-set and livelock
+// prunes) abandon fibers suspended inside Method frames whose destructors
+// never run. The open call's record lives in the Recorder, which the next
+// execution clears, so repeated passes must not grow the heap.
+TEST(Annotations, AbandonedCallsDoNotGrowTheHeap) {
+  ds::register_all_benchmarks();
+  const harness::Benchmark* b = harness::find_benchmark("mcs-lock");
+  ASSERT_NE(b, nullptr);
+  harness::RunOptions opts;
+  opts.engine.explore = mc::ExploreMode::kRf;
+  RunResult first = harness::run_benchmark(*b, opts);
+  ASSERT_EQ(first.mc.verdict, mc::Verdict::kVerifiedExhaustive);
+  ASSERT_GT(first.mc.rf_infeasible, 0u) << "no abandoned executions";
+  const std::size_t after_first = mallinfo2().uordblks;
+  for (int pass = 0; pass < 2; ++pass) (void)harness::run_benchmark(*b, opts);
+  const std::size_t after_third = mallinfo2().uordblks;
+  EXPECT_LE(after_third, after_first + 256 * 1024)
+      << "heap in use grew from " << after_first << " to " << after_third
+      << " bytes over two more passes";
 }
 
 TEST(Render, DotContainsNodesAndEdges) {
