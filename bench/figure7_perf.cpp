@@ -3,11 +3,16 @@
 // the paper's values printed for shape comparison.
 //
 //   figure7_perf                 schedule mode (the EXPERIMENTS.md table)
-//   figure7_perf --json [PATH]   both --explore modes, and writes PATH
+//   figure7_perf --json [PATH]   both --explore modes, then the rf rows
+//                                again at --jobs 4, and writes PATH
 //                                (default BENCH_figure7.json): per row and
 //                                mode the executions, feasible executions,
 //                                rf_infeasible terminals, seconds and
-//                                execs/s, plus the host's CPU count
+//                                execs/s; per --jobs 4 row the seconds,
+//                                work units (planned plus minted by work
+//                                stealing) and steals; plus the host's CPU
+//                                count
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -16,6 +21,7 @@
 
 #include "bench/paper_refs.h"
 #include "ds/suite.h"
+#include "harness/parallel.h"
 #include "harness/runner.h"
 
 namespace {
@@ -78,6 +84,53 @@ void run_mode(cds::mc::ExploreMode mode, std::string* json) {
               "9/10 within 5s)\n", total_secs);
 }
 
+// The rf rows through run_benchmark_parallel with 4 workers; appends the
+// rows to `json`.
+void run_jobs4(std::string* json) {
+  constexpr int kJobs = 4;
+  std::printf("\n--explore rf --jobs %d\n", kJobs);
+  std::printf("%-20s | %12s %12s %9s | %8s %8s\n", "Benchmark", "#Exec",
+              "#Feas", "s", "units", "steals");
+  std::printf("%.*s\n", 80,
+              "--------------------------------------------------------------"
+              "------------------");
+  for (const auto& row : cds::bench::kFigure7) {
+    const auto* b = cds::harness::find_benchmark(row.benchmark);
+    if (b == nullptr) continue;
+    cds::harness::RunOptions opts;
+    opts.engine.max_executions = kMaxExecutions;
+    opts.engine.explore = cds::mc::ExploreMode::kRf;
+    cds::harness::ParallelOptions par;
+    par.jobs = kJobs;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto pr = cds::harness::run_benchmark_parallel(*b, opts, par);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const auto& r = pr.merged;
+    std::printf("%-20s | %12llu %12llu %9.3f | %8llu %8llu\n", row.display,
+                static_cast<unsigned long long>(r.mc.executions),
+                static_cast<unsigned long long>(r.mc.feasible), secs,
+                static_cast<unsigned long long>(pr.shards),
+                static_cast<unsigned long long>(pr.steals));
+    char buf[512];
+    std::snprintf(
+        buf, sizeof buf,
+        "%s    {\"benchmark\": \"%s\", \"explore\": \"rf\", \"jobs\": %d, "
+        "\"verdict\": \"%s\", \"executions\": %llu, \"feasible\": %llu, "
+        "\"rf_infeasible\": %llu, \"seconds\": %.3f, \"units\": %llu, "
+        "\"steals\": %llu}",
+        json->empty() ? "" : ",\n", row.benchmark, kJobs,
+        cds::mc::to_string(r.verdict),
+        static_cast<unsigned long long>(r.mc.executions),
+        static_cast<unsigned long long>(r.mc.feasible),
+        static_cast<unsigned long long>(r.mc.rf_infeasible), secs,
+        static_cast<unsigned long long>(pr.shards),
+        static_cast<unsigned long long>(pr.steals));
+    *json += buf;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,12 +157,15 @@ int main(int argc, char** argv) {
   run_mode(cds::mc::ExploreMode::kSchedule, json_mode ? &rows : nullptr);
   if (!json_mode) return 0;
   run_mode(cds::mc::ExploreMode::kRf, &rows);
+  std::string jobs4_rows;
+  run_jobs4(&jobs4_rows);
 
   std::string json = "{\n";
   json += "  \"bench\": \"figure7_perf\",\n";
   json += "  \"cpus\": " + std::to_string(cpu_count()) + ",\n";
   json += "  \"max_executions\": " + std::to_string(kMaxExecutions) + ",\n";
-  json += "  \"rows\": [\n" + rows + "\n  ]\n}\n";
+  json += "  \"rows\": [\n" + rows + "\n  ],\n";
+  json += "  \"jobs4_rows\": [\n" + jobs4_rows + "\n  ]\n}\n";
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "figure7_perf: cannot write %s\n", out_path.c_str());

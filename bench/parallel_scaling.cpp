@@ -73,6 +73,9 @@ int main(int argc, char** argv) {
     std::printf("%s:\n", s.name);
     std::vector<Point> points;
     cds::fuzz::McBehaviors serial;
+    // One untimed serial run first: otherwise the jobs=1 point alone pays
+    // the process's first-touch costs and every speedup reads high.
+    (void)cds::fuzz::mc_behaviors(p, cds::fuzz::OracleConfig{});
     for (int jobs : jobs_axis) {
       cds::fuzz::OracleConfig cfg;
       cfg.jobs = jobs;

@@ -10,11 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "dist/journal.h"
 #include "dist/net.h"
 #include "dist/protocol.h"
+#include "dist/shard_table.h"
+#include "harness/parallel.h"
 #include "harness/shard_result.h"
-#include "mc/shard.h"
 #include "support/io.h"
 #include "support/rng.h"
 
@@ -36,22 +36,6 @@ double now_seconds() {
       .count();
 }
 
-// One schedulable unit of work. Retries reuse the same Shard (same unit,
-// same seed — bit-identical re-exploration); work stealing appends fresh
-// Shards minted from a preempted shard's frontier.
-struct Shard {
-  enum class State { kPending, kRunning, kDone, kFailed };
-  State state = State::kPending;
-  std::size_t test_index = 0;
-  harness::ShardUnit unit;
-  int attempts = 0;           // assignments handed out so far
-  double next_eligible = 0.0; // backoff gate for the next assignment
-  double assigned_at = 0.0;   // of the current attempt (steal-age)
-  int last_fd = -1;           // connection of the latest attempt
-  bool stolen = false;        // one preemption request per attempt
-  harness::ShardResult result;  // valid when kDone
-};
-
 struct Conn {
   int fd = -1;
   FrameBuffer buf;
@@ -69,164 +53,36 @@ struct Attempt {
   double lease_expiry = 0.0;
 };
 
-// Strict parse plus the sanity check that ties a preempted result's
-// frontier back to the shard's own prefix. Shared by the live accept
-// path and journal replay, so both trust exactly the same payloads.
-bool parse_shard_payload(const Shard& s, const std::string& text,
-                         harness::ShardResult* sr, std::string* why) {
-  if (!harness::parse_shard_result(text, sr, why)) return false;
-  if (sr->stats.preempted && sr->frontier.size() < s.unit.prefix.size()) {
-    *why = "frontier shorter than the shard's own prefix";
-    return false;
-  }
-  return true;
-}
-
-// Applies a validated result to the shard table: a preempted (stolen)
-// shard mints sub-shards covering the unexplored remainder of its
-// subtree, then the (normalized) partial result is stored. Pure given
-// (shards, sidx, sr) — split_remaining_frontier and derive_seed are
-// deterministic — so journal replay re-mints the exact sub-shard
-// sequence the crashed incarnation minted. Returns the minted count.
-std::size_t apply_shard_result(std::vector<Shard>& shards, std::size_t sidx,
-                               harness::ShardResult sr, DistRunResult& dr) {
-  std::size_t minted = 0;
-  if (sr.stats.preempted) {
-    // Copy the parent's fields first: each push_back below may
-    // reallocate `shards`, invalidating references into it.
-    const std::size_t parent_test = shards[sidx].test_index;
-    const harness::ShardUnit parent_unit = shards[sidx].unit;
-    std::vector<std::vector<mc::Choice>> subs =
-        mc::split_remaining_frontier(parent_unit.prefix.size(), sr.frontier);
-    for (std::size_t k = 0; k < subs.size(); ++k) {
-      Shard ns;
-      ns.test_index = parent_test;
-      ns.unit = parent_unit;
-      ns.unit.prefix = std::move(subs[k]);
-      // Fresh derived seed per sub-shard; the sampling budget stays the
-      // parent's (already divided) share — sub-shards jointly re-cover
-      // the parent's unexplored remainder, not a new tranche.
-      ns.unit.engine_seed = support::derive_seed(
-          parent_unit.engine_seed, 1000 + static_cast<std::uint64_t>(k));
-      shards.push_back(std::move(ns));
-      ++dr.steal_subshards;
-      ++dr.shards;
-    }
-    minted = subs.size();
-    // The partial result's counters are exact for the executions it
-    // explored; coverage of the remainder is now the sub-shards' job.
-    // The engine conservatively reports exhausted=false on preemption,
-    // which must not poison the test-level AND.
-    sr.stats.preempted = false;
-    sr.stats.stopped_early = false;
-    sr.stats.exhausted = true;
-  }
-  Shard& sh = shards[sidx];
-  sh.result = std::move(sr);
-  sh.state = Shard::State::kDone;
-  return minted;
-}
-
-// Replays a loaded journal against a freshly planned shard table (the
-// header has already been validated against this plan). Completed
-// shards are satisfied from their journaled payloads; minting replays
-// implicitly because apply_shard_result is deterministic. Lease records
-// are informational — an in-flight shard simply stays kPending and is
-// re-enqueued under the new epoch.
-void replay_journal(const JournalReplay& rep, std::vector<Shard>& shards,
-                    DistRunResult& dr) {
-  for (const JournalRecord& r : rep.records) {
-    switch (r.kind) {
-      case JournalRecord::Kind::kRun:
-      case JournalRecord::Kind::kLease:
-      case JournalRecord::Kind::kMint:
-      case JournalRecord::Kind::kDone:
-        break;
-      case JournalRecord::Kind::kResult: {
-        const auto sidx = static_cast<std::size_t>(r.shard);
-        if (sidx >= shards.size()) {
-          std::fprintf(stderr,
-                       "cds::dist: journaled result for unknown shard %zu; "
-                       "ignored\n",
-                       sidx);
-          break;
-        }
-        if (shards[sidx].state == Shard::State::kDone) break;
-        harness::ShardResult sr;
-        std::string why;
-        if (!parse_shard_payload(shards[sidx], r.payload, &sr, &why)) {
-          std::fprintf(stderr,
-                       "cds::dist: journaled result for shard %zu does not "
-                       "parse (%s); recomputing\n",
-                       sidx, why.c_str());
-          break;
-        }
-        apply_shard_result(shards, sidx, std::move(sr), dr);
-        ++dr.replayed_shards;
-        break;
-      }
-      case JournalRecord::Kind::kFailed: {
-        // A journaled permanent failure is a completed outcome: the
-        // crashed incarnation already spent the retry budget.
-        const auto sidx = static_cast<std::size_t>(r.shard);
-        if (sidx >= shards.size()) break;
-        Shard& s = shards[sidx];
-        if (s.state == Shard::State::kDone ||
-            s.state == Shard::State::kFailed) {
-          break;
-        }
-        s.state = Shard::State::kFailed;
-        ++dr.failed_shards;
-        break;
-      }
-    }
-  }
-}
+// Socket scheduling of one shard, indexed like the shard table. Retries
+// reuse the same shard (same unit, same seed — bit-identical
+// re-exploration).
+struct Slot {
+  int attempts = 0;            // assignments handed out so far
+  double next_eligible = 0.0;  // backoff gate for the next assignment
+  double assigned_at = 0.0;    // of the current attempt (steal age)
+  int last_fd = -1;            // connection of the latest attempt
+  bool stolen = false;         // one preemption request per attempt
+};
 
 struct Coordinator {
   const harness::Benchmark& b;
   const harness::RunOptions& opts;
   const DistOptions& d;
   DistRunResult& dr;
-  std::vector<Shard>& shards;
+  ShardTable& table;
+  std::vector<Slot> slots;  // grows as the table mints sub-shards
 
   std::vector<Conn> conns;
   std::map<std::uint64_t, Attempt> live;  // attempt id -> lease
   std::uint64_t attempt_counter = 0;
   std::uint64_t current_workers = 0;
   double last_worker_seen = 0.0;
-  // Write-ahead journal (null/closed = no durability) and this
-  // incarnation's epoch. Attempt ids embed the epoch in their high 32
-  // bits so a resumed coordinator's fresh ids can never collide with
+  // This incarnation's journal epoch. Attempt ids embed it in their high
+  // 32 bits so a resumed coordinator's fresh ids can never collide with
   // ids a surviving worker still holds from the crashed incarnation.
-  JournalWriter* journal = nullptr;
   std::uint64_t epoch = 0;
-  bool journal_broken = false;
 
-  // Journal appends are write-ahead but non-fatal: if the disk fails
-  // mid-run the coordinator degrades to non-durable and keeps going.
-  void jappend(const JournalRecord& r) {
-    if (journal == nullptr || !journal->is_open() || journal_broken) return;
-    std::string jerr;
-    if (!journal->append(r, &jerr)) {
-      journal_broken = true;
-      std::fprintf(stderr,
-                   "cds::dist: journal append failed (%s); continuing "
-                   "without durability\n",
-                   jerr.c_str());
-    }
-  }
-
-  [[nodiscard]] bool all_resolved() const {
-    for (const Shard& s : shards) {
-      if (s.state != Shard::State::kDone && s.state != Shard::State::kFailed) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  double backoff_for(const Shard& s, std::uint64_t attempt_id) const {
+  double backoff_for(const Slot& s, std::uint64_t attempt_id) const {
     double base = d.retry_backoff_seconds;
     for (int i = 1; i < s.attempts; ++i) base *= 2.0;
     support::Xorshift64 rng(support::derive_seed(
@@ -241,31 +97,19 @@ struct Coordinator {
   // as a contained permanent failure once the retry budget is spent.
   void schedule_retry(std::size_t sidx, std::uint64_t attempt_id,
                       const char* why) {
-    Shard& s = shards[sidx];
-    if (s.state != Shard::State::kRunning) return;
+    if (!table.running(sidx)) return;
+    Slot& s = slots[sidx];
     if (s.attempts >= d.max_shard_retries + 1) {
-      s.state = Shard::State::kFailed;
-      ++dr.failed_shards;
-      record_permanent_failure(sidx, attempt_id, why);
+      table.fail(sidx, attempt_id, why, /*journaled=*/true);
       std::fprintf(stderr,
                    "cds::dist: shard %zu (test %zu) failed permanently "
                    "after %d attempts (last: %s)\n",
-                   sidx, s.test_index, s.attempts, why);
+                   sidx, table.unit(sidx).test_index, s.attempts, why);
       return;
     }
-    s.state = Shard::State::kPending;
+    table.requeue(sidx);
     s.next_eligible = now_seconds() + backoff_for(s, attempt_id);
     ++dr.retries;
-  }
-
-  void record_permanent_failure(std::size_t sidx, std::uint64_t attempt_id,
-                                const char* why) {
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::kFailed;
-    rec.shard = sidx;
-    rec.attempt = attempt_id;
-    rec.payload = why;
-    jappend(rec);
   }
 
   void drop_conn(Conn& c, const char* why) {
@@ -292,14 +136,14 @@ struct Coordinator {
     return false;
   }
 
-  // A complete, in-lease result arrived for `sidx`: parse strictly,
-  // journal the raw payload write-ahead, then apply (for a preempted
-  // shard, minting sub-shards covering the unexplored remainder).
+  // A complete, in-lease result arrived for `sidx`: parse strictly, then
+  // hand it to the table (journal write-ahead, apply, mint sub-shards for
+  // a preempted shard).
   void accept_result(std::size_t sidx, std::uint64_t attempt_id,
                      const std::string& text) {
     harness::ShardResult sr;
     std::string err;
-    if (!parse_shard_payload(shards[sidx], text, &sr, &err)) {
+    if (!table.parse(sidx, text, &sr, &err)) {
       ++dr.corrupt_results;
       std::fprintf(stderr,
                    "cds::dist: shard %zu returned a corrupt result (%s); "
@@ -308,26 +152,8 @@ struct Coordinator {
       schedule_retry(sidx, attempt_id, "corrupt result");
       return;
     }
-    // WAL: the raw (pre-normalization) payload is durable before any
-    // merge state changes. A crash from here on replays this record and
-    // re-derives the exact same minted sub-shards and merge input.
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::kResult;
-    rec.shard = sidx;
-    rec.attempt = attempt_id;
-    rec.payload = text;
-    jappend(rec);
-    const std::size_t minted = apply_shard_result(shards, sidx, std::move(sr),
-                                                  dr);
-    if (minted > 0) {
-      // Informational (replay re-mints from the result record itself);
-      // lets offline audits cross-check the mint count.
-      JournalRecord m;
-      m.kind = JournalRecord::Kind::kMint;
-      m.shard = sidx;
-      m.count = minted;
-      jappend(m);
-    }
+    table.accept(sidx, attempt_id, text, std::move(sr));
+    slots.resize(table.size());
   }
 
   // An attempt id minted by a previous coordinator incarnation carries
@@ -477,29 +303,27 @@ struct Coordinator {
       // another worker is idle: a worker that keeps losing it (a muted
       // one, say) would otherwise spend the shard's whole retry budget.
       const bool other_idle = other_worker_idle(c);
-      std::size_t pick = shards.size();
-      for (std::size_t sidx = 0; sidx < shards.size(); ++sidx) {
-        const Shard& s = shards[sidx];
-        if (s.state != Shard::State::kPending || s.next_eligible > now) {
-          continue;
-        }
+      std::size_t pick = table.size();
+      for (std::size_t sidx = 0; sidx < table.size(); ++sidx) {
+        const Slot& s = slots[sidx];
+        if (!table.pending(sidx) || s.next_eligible > now) continue;
         if (other_idle && s.last_fd == c.fd) continue;
         pick = sidx;
         break;
       }
-      if (pick == shards.size()) continue;
-      Shard& s = shards[pick];
+      if (pick == table.size()) continue;
+      Slot& s = slots[pick];
       Assignment asg;
       // High 32 bits: this incarnation's epoch. The counter restarts at
       // zero after a crash, so without the epoch a resumed run would
       // re-mint ids that fenced-off workers still hold.
       asg.shard_id = (epoch << 32) | ++attempt_counter;
       asg.bench = b.name;
-      asg.unit = s.unit;
+      asg.unit = table.unit(pick);
       asg.engine = opts.engine;
       asg.checker = opts.checker;
       const std::string payload = render_assignment(asg);
-      s.state = Shard::State::kRunning;
+      table.mark_running(pick);
       ++s.attempts;
       s.assigned_at = now;
       s.last_fd = c.fd;
@@ -512,7 +336,7 @@ struct Coordinator {
       lease.kind = JournalRecord::Kind::kLease;
       lease.shard = pick;
       lease.attempt = asg.shard_id;
-      jappend(lease);
+      table.journal(lease);
       if (!send_to(c, render_assign_header(asg.shard_id, payload.size()) +
                           payload,
                    "assignment")) {
@@ -527,10 +351,7 @@ struct Coordinator {
     for (const Conn& c : conns) {
       if (!c.dead && c.greeted && c.attempt == 0) idle = true;
     }
-    if (!idle) return;
-    for (const Shard& s : shards) {
-      if (s.state == Shard::State::kPending) return;  // queue not dry
-    }
+    if (!idle || table.any_pending()) return;  // nobody idle, or queue not dry
     const double now = now_seconds();
     const double steal_after =
         d.steal_after_seconds > 0 ? d.steal_after_seconds
@@ -538,8 +359,11 @@ struct Coordinator {
     std::uint64_t victim = 0;
     double oldest = now;
     for (const auto& [id, at] : live) {
-      const Shard& s = shards[at.shard];
-      if (s.state != Shard::State::kRunning || s.stolen) continue;
+      const Slot& s = slots[at.shard];
+      if (!table.running(at.shard) || !table.splittable(at.shard) ||
+          s.stolen) {
+        continue;
+      }
       if (now - s.assigned_at < steal_after) continue;
       if (s.assigned_at < oldest) {
         oldest = s.assigned_at;
@@ -551,7 +375,7 @@ struct Coordinator {
     for (Conn& c : conns) {
       if (!c.dead && c.fd == at.fd) {
         if (send_to(c, render_steal(victim), "steal")) {
-          shards[at.shard].stolen = true;
+          slots[at.shard].stolen = true;
           ++dr.steals;
         }
         return;
@@ -560,156 +384,20 @@ struct Coordinator {
   }
 };
 
-void merge_shards(const harness::Benchmark& b, const harness::RunOptions& opts,
-                  std::vector<Shard>& shards, DistRunResult& dr) {
-  harness::RunResult& total = dr.merged;
-  total.mc.seed = opts.engine.seed;
-  total.mc.exhausted = true;
-  for (std::size_t i = 0; i < b.tests.size(); ++i) {
-    // Merge in serial DFS order: stolen sub-shards were appended out of
-    // order, so sort this test's shards by subtree-prefix DFS order. A
-    // preempted parent's prefix is a proper prefix of its sub-shards' and
-    // therefore sorts first — violations and the record cap behave exactly
-    // as in an undisturbed serial run.
-    std::vector<std::size_t> order;
-    for (std::size_t sidx = 0; sidx < shards.size(); ++sidx) {
-      if (shards[sidx].test_index == i) order.push_back(sidx);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t x, std::size_t y) {
-                       return mc::prefix_dfs_less(shards[x].unit.prefix,
-                                                  shards[y].unit.prefix);
-                     });
-    bool test_exhausted = true;
-    bool test_falsified = false;
-    std::uint64_t test_fatals = 0;
-    std::uint64_t failed_here = 0;
-    std::uint64_t recorded_here = 0;
-    for (std::size_t sidx : order) {
-      Shard& s = shards[sidx];
-      if (s.state != Shard::State::kDone) {
-        ++failed_here;
-        test_exhausted = false;
-        continue;
-      }
-      harness::ShardResult& sr = s.result;
-      mc::merge_shard_stats(total.mc, sr.stats);
-      test_exhausted = test_exhausted && sr.stats.exhausted;
-      test_falsified = test_falsified || sr.stats.violations_total > 0;
-      test_fatals += sr.stats.engine_fatal_execs;
-      total.spec.executions_checked += sr.spec.executions_checked;
-      total.spec.inadmissible_execs += sr.spec.inadmissible_execs;
-      total.spec.assertion_violation_execs +=
-          sr.spec.assertion_violation_execs;
-      total.spec.histories_checked += sr.spec.histories_checked;
-      total.spec.justification_checks += sr.spec.justification_checks;
-      total.spec.history_cap_hit |= sr.spec.history_cap_hit;
-      total.spec.r_cycle_seen |= sr.spec.r_cycle_seen;
-      total.metrics.merge(sr.metrics);
-      for (mc::Violation& v : sr.violations) {
-        if (opts.engine.max_recorded_violations != 0 &&
-            recorded_here >= opts.engine.max_recorded_violations) {
-          break;
-        }
-        total.violations.push_back(std::move(v));
-        ++recorded_here;
-      }
-      for (std::string& rep : sr.reports) {
-        total.reports.push_back(std::move(rep));
-      }
-    }
-    mc::Verdict tv =
-        test_falsified
-            ? mc::Verdict::kFalsified
-            : (test_exhausted && test_fatals == 0 && failed_here == 0
-                   ? mc::Verdict::kVerifiedExhaustive
-                   : mc::Verdict::kInconclusive);
-    harness::weaken_verdict(total.verdict, tv);
-    total.mc.exhausted = total.mc.exhausted && test_exhausted;
-  }
-  total.mc.verdict = total.verdict;
-}
-
 // Runs every still-unresolved shard on the local fork pool (the graceful
-// degradation path, and the whole path on platforms without sockets).
-// With an open journal, every unit outcome is journaled the moment the
-// pool reports it — write-ahead of this function's own bookkeeping — so
-// a crash mid-fallback resumes without redoing finished shards.
+// degradation path, and the whole path on platforms without sockets): the
+// same stealing pool --jobs uses, feeding the same table.
 void run_remaining_locally(const harness::Benchmark& b,
                            const harness::RunOptions& opts,
-                           const DistOptions& d, std::vector<Shard>& shards,
-                           DistRunResult& dr, JournalWriter* journal) {
-  std::vector<std::size_t> remaining;
-  for (std::size_t sidx = 0; sidx < shards.size(); ++sidx) {
-    Shard::State st = shards[sidx].state;
-    if (st == Shard::State::kPending || st == Shard::State::kRunning) {
-      remaining.push_back(sidx);
-    }
-  }
-  if (remaining.empty()) return;
+                           const DistOptions& d, ShardTable& table,
+                           DistRunResult& dr) {
+  for (std::size_t sidx = 0; sidx < table.size(); ++sidx) table.requeue(sidx);
+  if (table.all_resolved()) return;
   dr.fell_back_local = true;
-  mc::ForkMapOptions fm;
-  fm.jobs = d.fallback_jobs > 0 ? d.fallback_jobs : std::max(1, d.dist_workers);
-  if (journal != nullptr && journal->is_open()) {
-    fm.on_result = [&](std::size_t u, const mc::UnitResult& ur) {
-      JournalRecord rec;
-      rec.shard = remaining[u];
-      rec.attempt = 0;  // fork-pool units run under no lease
-      if (ur.ran) {
-        // Journal only payloads replay will trust; a corrupt one is
-        // recomputed on resume, same as it is recomputed below.
-        harness::ShardResult sr;
-        std::string why;
-        if (!parse_shard_payload(shards[remaining[u]], ur.text, &sr, &why) ||
-            sr.stats.preempted) {
-          return;
-        }
-        rec.kind = JournalRecord::Kind::kResult;
-        rec.payload = ur.text;
-      } else {
-        rec.kind = JournalRecord::Kind::kFailed;
-        rec.payload = "local fork-pool worker died";
-      }
-      std::string jerr;
-      if (!journal->append(rec, &jerr)) {
-        std::fprintf(stderr,
-                     "cds::dist: journal append failed (%s); continuing "
-                     "without durability\n",
-                     jerr.c_str());
-      }
-    };
-  }
-  std::vector<mc::UnitResult> results = mc::fork_map(
-      remaining.size(),
-      [&](std::size_t u) {
-        return harness::run_shard_unit(b, opts, shards[remaining[u]].unit);
-      },
-      fm);
-  for (std::size_t u = 0; u < remaining.size(); ++u) {
-    Shard& s = shards[remaining[u]];
-    harness::ShardResult sr;
-    std::string err;
-    if (!results[u].ran) {
-      s.state = Shard::State::kFailed;
-      ++dr.failed_shards;
-      continue;
-    }
-    // No stop_request in the fallback pool: a preempted result here is as
-    // impossible as in the parallel path, so treat it as corrupt.
-    if (!harness::parse_shard_result(results[u].text, &sr, &err) ||
-        sr.stats.preempted) {
-      std::fprintf(stderr,
-                   "cds::dist: local fallback shard %zu returned a corrupt "
-                   "result (%s)\n",
-                   remaining[u], err.c_str());
-      ++dr.corrupt_results;
-      s.state = Shard::State::kFailed;
-      ++dr.failed_shards;
-      continue;
-    }
-    s.result = std::move(sr);
-    s.state = Shard::State::kDone;
-  }
+  harness::ParallelOptions local;
+  local.jobs = d.fallback_jobs > 0 ? d.fallback_jobs : std::max(1, d.dist_workers);
+  harness::ParallelRunResult pool;
+  harness::run_on_fork_pool(table, b, opts, local, &pool);
 }
 
 }  // namespace
@@ -720,116 +408,32 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
   DistRunResult dr;
   support::SigpipeIgnoreScope sigpipe_guard;
 
-  // Plan shards exactly as the parallel path does: same prefixes, same
-  // derived seeds, same sampling split — a distributed run explores the
-  // same partition of the same trees.
-  std::vector<Shard> shards;
+  // The same table the parallel path plans: same prefixes, same derived
+  // seeds, same sampling split — a distributed run explores the same
+  // partition of the same trees.
   const std::size_t max_shards =
       d.max_shards != 0
           ? d.max_shards
           : static_cast<std::size_t>(std::max(1, d.dist_workers)) * 4;
-  for (std::size_t i = 0; i < b.tests.size(); ++i) {
-    mc::Config pcfg = opts.engine;
-    pcfg.test_name = b.name + "#" + std::to_string(i);
-    pcfg.test_index = static_cast<std::uint32_t>(i);
-    mc::ShardPlan plan = mc::enumerate_shard_prefixes(
-        pcfg, b.tests[i], d.shard_depth, max_shards);
-    dr.probe_executions += plan.probe_executions;
-    const std::size_t shard_count = plan.prefixes.size();
-    for (std::size_t u = 0; u < shard_count; ++u) {
-      Shard s;
-      s.test_index = i;
-      s.unit = harness::make_shard_unit(opts, i, std::move(plan.prefixes[u]),
-                                        u, shard_count);
-      shards.push_back(std::move(s));
-    }
+  ShardTable table(b, opts, d.shard_depth, max_shards);
+  dr.probe_executions = table.probe_executions();
+  if (!d.journal_path.empty() &&
+      !table.open_journal(d.journal_path, d.resume, d.coord_chaos,
+                          &dr.resume_error)) {
+    dr.shards = table.planned();
+    dr.merged.verdict = mc::Verdict::kInconclusive;
+    dr.merged.mc.verdict = dr.merged.verdict;
+    return dr;
   }
-  dr.shards = shards.size();
-
-  // ---- Durability: journal replay (--resume) and the write-ahead log ----
-  JournalWriter journal;
-  std::uint64_t epoch = 0;
-  if (!d.journal_path.empty()) {
-    // Hash the freshly planned units BEFORE replay mints sub-shards:
-    // this is the identity a later resume re-derives and compares.
-    std::vector<harness::ShardUnit> planned;
-    planned.reserve(shards.size());
-    for (const Shard& s : shards) planned.push_back(s.unit);
-    const std::uint32_t plan_hash = journal_plan_hash(planned);
-    const std::uint32_t fp = journal_config_fingerprint(opts.engine);
-    epoch = 1;
-    if (d.resume) {
-      JournalReplay rep;
-      std::string jerr;
-      if (!load_journal(d.journal_path, &rep, &jerr)) {
-        std::fprintf(stderr, "cds::dist: %s; starting fresh\n", jerr.c_str());
-      }
-      dr.journal_quarantined_bytes = rep.quarantined_bytes;
-      if (!rep.quarantine_note.empty()) {
-        std::fprintf(stderr, "cds::dist: %s\n", rep.quarantine_note.c_str());
-      }
-      const JournalRecord* hdr = nullptr;
-      for (const JournalRecord& r : rep.records) {
-        if (r.kind == JournalRecord::Kind::kRun) {
-          hdr = &r;
-          break;
-        }
-      }
-      if (hdr != nullptr) {
-        if (hdr->bench != b.name || hdr->fingerprint != fp ||
-            hdr->plan_hash != plan_hash || hdr->shards != planned.size()) {
-          dr.resume_error =
-              "journal '" + d.journal_path + "' records a different " +
-              (hdr->bench != b.name
-                   ? "benchmark ('" + hdr->bench + "')"
-                   : hdr->fingerprint != fp ? std::string("config fingerprint")
-                                            : std::string("shard plan")) +
-              "; refusing to merge incompatible shards (delete the journal "
-              "or rerun with the original parameters)";
-          dr.merged.verdict = mc::Verdict::kInconclusive;
-          dr.merged.mc.verdict = dr.merged.verdict;
-          return dr;
-        }
-        dr.resumed = true;
-        epoch = rep.last_epoch + 1;
-        replay_journal(rep, shards, dr);
-      }
-      // A resume against a missing or headerless journal starts fresh —
-      // convenient for "always pass --resume" retry loops.
-    }
-    std::string jerr;
-    if (!journal.open(d.journal_path, /*truncate=*/!dr.resumed, &jerr)) {
-      std::fprintf(stderr,
-                   "cds::dist: %s; continuing without durability\n",
-                   jerr.c_str());
-    } else {
-      journal.set_chaos(d.coord_chaos);
-      JournalRecord run;
-      run.kind = JournalRecord::Kind::kRun;
-      run.epoch = epoch;
-      run.shards = planned.size();
-      run.plan_hash = plan_hash;
-      run.fingerprint = fp;
-      run.bench = b.name;
-      if (!journal.append(run, &jerr)) {
-        std::fprintf(stderr,
-                     "cds::dist: %s; continuing without durability\n",
-                     jerr.c_str());
-        journal.close_file();
-      }
-    }
-  }
+  const std::uint64_t epoch = table.epoch();
   dr.epoch = epoch;
+  dr.resumed = table.resumed();
+  dr.replayed_shards = table.replayed();
+  dr.journal_quarantined_bytes = table.quarantined_bytes();
 
   // After replay everything may already be resolved; don't spin up
   // sockets and workers just to have the main loop exit instantly.
-  bool need_work = false;
-  for (const Shard& s : shards) {
-    if (s.state == Shard::State::kPending ||
-        s.state == Shard::State::kRunning) {
-      need_work = true;
-    }
-  }
+  const bool need_work = !table.all_resolved();
 
 #ifdef CDS_DIST_COORD_POSIX
   std::string listen_spec = d.listen;
@@ -881,11 +485,11 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       worker_pids.push_back(pid);
     }
 
-    Coordinator co{b, opts, d, dr, shards, {}, {}, 0, 0, now_seconds()};
-    co.journal = &journal;
+    Coordinator co{b, opts, d, dr, table, std::vector<Slot>(table.size()),
+                   {}, {}, 0, 0, now_seconds()};
     co.epoch = epoch;
     const double start = now_seconds();
-    while (!co.all_resolved()) {
+    while (!table.all_resolved()) {
       // Graceful degradation: nobody ever connected, or everybody left
       // and stayed away. Revoke what's in flight and finish locally.
       const double now = now_seconds();
@@ -899,9 +503,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
                      "cds::dist: %s; falling back to the local fork pool\n",
                      nobody_ever ? "no worker connected within the deadline"
                                  : "all workers gone");
-        for (auto& [id, at] : co.live) {
-          shards[at.shard].state = Shard::State::kPending;
-        }
+        for (auto& [id, at] : co.live) table.requeue(at.shard);
         co.live.clear();
         break;
       }
@@ -932,9 +534,9 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       // pending shard is assigned the moment a worker turns idle, and
       // workers turn idle via socket traffic or a lease expiry — both
       // of which wake poll on their own.
-      for (const Shard& s : shards) {
-        if (s.state == Shard::State::kPending && s.next_eligible > now) {
-          consider(s.next_eligible);
+      for (std::size_t sidx = 0; sidx < table.size(); ++sidx) {
+        if (table.pending(sidx) && co.slots[sidx].next_eligible > now) {
+          consider(co.slots[sidx].next_eligible);
         }
       }
       if (d.enable_steal) {
@@ -942,8 +544,9 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
                                        ? d.steal_after_seconds
                                        : d.lease_seconds / 2.0;
         for (const auto& [id, at] : co.live) {
-          const Shard& s = shards[at.shard];
-          if (s.state == Shard::State::kRunning && !s.stolen) {
+          const Slot& s = co.slots[at.shard];
+          if (table.running(at.shard) && table.splittable(at.shard) &&
+              !s.stolen) {
             consider(s.assigned_at + steal_after);
           }
         }
@@ -1016,17 +619,11 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
 
   // Anything unresolved (no sockets on this platform, listen failure,
   // fallback trigger) finishes on the local fork pool.
-  run_remaining_locally(b, opts, d, shards, dr, &journal);
-  merge_shards(b, opts, shards, dr);
-  if (journal.is_open()) {
-    JournalRecord done;
-    done.kind = JournalRecord::Kind::kDone;
-    done.verdict = static_cast<std::uint64_t>(dr.merged.verdict);
-    std::string jerr;
-    if (!journal.append(done, &jerr)) {
-      std::fprintf(stderr, "cds::dist: %s\n", jerr.c_str());
-    }
-  }
+  run_remaining_locally(b, opts, d, table, dr);
+  dr.shards = table.size();
+  dr.steal_subshards = table.minted();
+  dr.failed_shards = table.failed();
+  dr.merged = table.finish();
 
   obs::Registry& M = dr.merged.metrics;
   M.gauge("dist.workers_requested")

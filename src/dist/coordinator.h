@@ -13,15 +13,19 @@
 //     after that the shard is recorded as a contained permanent failure
 //     (verdict degrades to inconclusive, the run completes);
 //   - when the queue drains while long shards still run, the coordinator
-//     asks the oldest running shard's worker to preempt (work stealing);
+//     asks the oldest running shard's worker to preempt (work stealing;
+//     never under a time or memory budget, see ShardTable::splittable);
 //     the preempted partial result plus the sub-shards split from its
 //     frontier (mc::split_remaining_frontier) cover exactly the executions
 //     the undisturbed shard would have explored, keeping merged counters
 //     bit-identical to a serial run;
 //   - if no worker ever connects within the deadline — or every worker is
 //     gone and none returns — the remaining shards gracefully degrade to
-//     the local fork pool (mc::fork_map), so `--dist-workers` never
-//     strands a run.
+//     the stealing fork pool --jobs uses (harness::run_on_fork_pool), so
+//     `--dist-workers` never strands a run.
+//
+// Shards, the journal and the merge live in the shard table both
+// executors share (dist/shard_table.h).
 //
 // All dist bookkeeping (retries, leases, steals, reconnects) is exported
 // as dist.* gauges, never counters: the deterministic counter set must
@@ -97,7 +101,7 @@ struct DistRunResult {
   std::uint64_t retries = 0;          // attempts rescheduled (any cause)
   std::uint64_t leases_expired = 0;   // revocations by lease timeout
   std::uint64_t steals = 0;           // preemption requests sent
-  std::uint64_t steal_subshards = 0;  // sub-shards minted from frontiers
+  std::uint64_t steal_subshards = 0;  // minted: splits, capped re-runs
   std::uint64_t failed_shards = 0;    // permanent failures (out of retries)
   std::uint64_t stale_results = 0;    // revoked-attempt reports dropped
   std::uint64_t corrupt_results = 0;  // unparseable result payloads

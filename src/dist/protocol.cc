@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "mc/trace.h"
-
 namespace cds::dist {
 
 using harness::escape_line;
@@ -162,14 +160,9 @@ bool parse_control_line(const std::string& line, ControlLine* out,
 // ---------------------------------------------------------------------------
 
 std::string render_assignment(const Assignment& a) {
-  std::string s = "shard-assign v1\n";
+  std::string s = "shard-assign v2\n";
   s += "id " + std::to_string(a.shard_id) + "\n";
   s += "bench " + escape_line(a.bench) + "\n";
-  s += "unit test=" + std::to_string(a.unit.test_index) +
-       " ordinal=" + std::to_string(a.unit.ordinal) +
-       " total=" + std::to_string(a.unit.total) +
-       " seed=" + std::to_string(a.unit.engine_seed) +
-       " samples=" + std::to_string(a.unit.sample_executions) + "\n";
   const mc::Config& e = a.engine;
   s += "engine threads=" + std::to_string(e.max_threads) +
        " stale=" + std::to_string(e.stale_read_bound) +
@@ -180,6 +173,7 @@ std::string render_assignment(const Assignment& a) {
        " trace=" + std::to_string(e.collect_trace ? 1 : 0) +
        " sleep=" + std::to_string(e.enable_sleep_sets ? 1 : 0) +
        " sc=" + std::to_string(e.strengthen_to_sc ? 1 : 0) +
+       " explore=" + std::to_string(static_cast<int>(e.explore)) +
        " time_us=" +
        std::to_string(static_cast<std::uint64_t>(e.time_budget_seconds * 1e6)) +
        " mem=" + std::to_string(e.memory_budget_bytes) +
@@ -198,8 +192,7 @@ std::string render_assignment(const Assignment& a) {
        " reports=" + std::to_string(c.max_reports) +
        " rtrace=" + std::to_string(c.report_trace ? 1 : 0) +
        " seed=" + std::to_string(c.seed) + "\n";
-  s += "prefix " + std::to_string(a.unit.prefix.size()) + "\n";
-  s += mc::render_choices(a.unit.prefix);
+  s += harness::render_shard_unit(a.unit);
   s += "end\n";
   return s;
 }
@@ -220,7 +213,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   };
   std::string why;
   const std::string* l = next();
-  if (l == nullptr || *l != "shard-assign v1") {
+  if (l == nullptr || *l != "shard-assign v2") {
     return fail("not a shard assignment (or a stale wire version)");
   }
   l = next();
@@ -236,30 +229,13 @@ bool parse_assignment(const std::string& text, Assignment* out,
   if (a.bench.empty()) return fail("empty benchmark name");
 
   l = next();
-  if (l == nullptr || l->rfind("unit ", 0) != 0) {
-    return fail("missing unit line");
-  }
-  std::uint64_t test = 0, ordinal = 0, total = 0;
-  if (!parse_kv_tokens(*l, 5,
-                       {{"test", &test},
-                        {"ordinal", &ordinal},
-                        {"total", &total},
-                        {"seed", &a.unit.engine_seed},
-                        {"samples", &a.unit.sample_executions}},
-                       &why)) {
-    return fail(why);
-  }
-  a.unit.test_index = static_cast<std::size_t>(test);
-  a.unit.ordinal = static_cast<std::size_t>(ordinal);
-  a.unit.total = static_cast<std::size_t>(total == 0 ? 1 : total);
-
-  l = next();
   if (l == nullptr || l->rfind("engine ", 0) != 0) {
     return fail("missing engine line");
   }
   mc::Config& e = a.engine;
   std::uint64_t threads = 0, stale = 0, viol = 0, stop_first = 0, trace = 0,
-                sleep = 0, sc = 0, time_us = 0, mem = 0, dfs_ppm = 0,
+                sleep = 0, sc = 0, explore = 0, time_us = 0, mem = 0,
+                dfs_ppm = 0,
                 contain = 0, sampling_only = 0, unsound = 0;
   if (!parse_kv_tokens(*l, 7,
                        {{"threads", &threads},
@@ -271,6 +247,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
                         {"trace", &trace},
                         {"sleep", &sleep},
                         {"sc", &sc},
+                        {"explore", &explore},
                         {"time_us", &time_us},
                         {"mem", &mem},
                         {"watchdog", &e.watchdog_no_progress_execs},
@@ -288,6 +265,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
     return fail("engine field out of range");
   }
   if (unsound > 2) return fail("bad unsound hook");
+  if (explore > 1) return fail("bad explore mode");
   e.max_threads = static_cast<int>(threads);
   e.stale_read_bound = static_cast<std::uint32_t>(stale);
   e.max_recorded_violations = static_cast<std::uint32_t>(viol);
@@ -295,6 +273,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   e.collect_trace = trace != 0;
   e.enable_sleep_sets = sleep != 0;
   e.strengthen_to_sc = sc != 0;
+  e.explore = static_cast<mc::ExploreMode>(explore);
   e.time_budget_seconds = static_cast<double>(time_us) / 1e6;
   e.memory_budget_bytes = static_cast<std::size_t>(mem);
   e.dfs_budget_fraction = static_cast<double>(dfs_ppm) / 1e6;
@@ -322,16 +301,12 @@ bool parse_assignment(const std::string& text, Assignment* out,
   c.max_reports = static_cast<std::uint32_t>(reports);
   c.report_trace = rtrace != 0;
 
-  l = next();
-  std::uint64_t npfx = 0;
-  if (l == nullptr || l->rfind("prefix ", 0) != 0 ||
-      !parse_u64_tok(l->c_str() + 7, &npfx)) {
-    return fail("missing prefix count");
-  }
-  if (npfx > lines.size()) return fail("prefix count exceeds message");
-  if (!mc::parse_choices(lines, &i, npfx, &a.unit.prefix, &why)) {
+  std::size_t at = i;
+  if (!harness::parse_shard_unit(lines, &at, &a.unit, &why)) {
+    i = at + 1;  // the unit line
     return fail(why);
   }
+  i = at;
   l = next();
   if (l == nullptr || *l != "end") return fail("missing 'end' terminator");
   *out = std::move(a);

@@ -7,9 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "dist/journal.h"
+#include "dist/shard_table.h"
 #include "harness/shard_result.h"
 #include "mc/shard.h"
+#include "support/io.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -30,374 +31,226 @@ bool ensure_dir(const std::string& path) {
 #endif
 }
 
-// One planned shard with a stable global index (test order, then unit
-// order within the test) — the identity journal records refer to, so a
-// resumed run maps journaled outcomes back without ambiguity.
-struct PlannedShard {
-  std::size_t test = 0;
-  std::size_t unit = 0;   // index within its test's plan
-  std::size_t count = 0;  // its test's shard count
-  ShardUnit su;
-  enum class St { kPending, kDone, kCrashed };
-  St st = St::kPending;
-  std::string text;  // shard-result v3 text, valid when kDone
-};
+// A spooled result is reused only if it parses as a complete result;
+// anything else — torn, bit-rotted, an older wire version — is set aside
+// as "<path>.quarantined" and the shard recomputes.
+bool reuse_spooled(const dist::ShardTable& table, std::size_t sidx,
+                   const std::string& path, std::string* text,
+                   ShardResult* sr) {
+  std::string err;
+  bool quarantined = false;
+  if (!support::read_spool_file(path, text, &err, &quarantined)) {
+    if (quarantined) {
+      std::fprintf(stderr, "cds::harness: corrupt spool entry %s\n",
+                   err.c_str());
+    }
+    return false;
+  }
+  std::string why;
+  if (!table.parse(sidx, *text, sr, &why) || sr->stats.preempted) {
+    if (why.empty()) why = "preempted partial result in spool";
+    std::fprintf(stderr,
+                 "cds::harness: rejecting spool entry %s (%s); quarantined\n",
+                 path.c_str(), why.c_str());
+    (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
+    return false;
+  }
+  return true;
+}
 
 }  // namespace
+
+void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
+                      const RunOptions& opts, const ParallelOptions& par,
+                      ParallelRunResult* pr) {
+  const std::size_t planned = table.planned();
+
+  // Spool keys of this incarnation's pending planned shards. The numbering
+  // shifts as resumed runs shrink the pending list, so each journal epoch
+  // gets its own subdirectory and stale keys cannot mismatch.
+  std::vector<std::string> spool_path(planned);
+  if (!par.spool_dir.empty()) {
+    if (!ensure_dir(par.spool_dir)) {
+      std::fprintf(stderr,
+                   "cds::harness: cannot create spool dir '%s'; spooling off\n",
+                   par.spool_dir.c_str());
+    } else {
+      std::vector<std::size_t> next_key(b.tests.size(), 0);
+      for (std::size_t sidx = 0; sidx < planned; ++sidx) {
+        if (!table.pending(sidx)) continue;
+        const std::size_t test = table.unit(sidx).test_index;
+        std::string dir = par.spool_dir + "/t" + std::to_string(test);
+        if (table.epoch() != 0) dir += ".e" + std::to_string(table.epoch());
+        if (!ensure_dir(dir)) continue;
+        spool_path[sidx] =
+            dir + "/unit-" + std::to_string(next_key[test]++) + ".result";
+      }
+    }
+  }
+  auto spooled = [&](std::size_t sidx) {
+    return sidx < planned && !spool_path[sidx].empty();
+  };
+
+  // One pool unit per shard; a minted shard exists only in this process,
+  // so every unit carries its ShardUnit as the payload.
+  mc::UnitQueue units;
+  std::vector<std::size_t> shard_of;  // pool unit -> table index
+  auto enqueue = [&](std::size_t sidx) {
+    shard_of.push_back(sidx);
+    units.push(render_shard_unit(table.unit(sidx)));
+  };
+  for (std::size_t sidx = 0; sidx < table.size(); ++sidx) {
+    if (!table.pending(sidx)) continue;
+    std::string text;
+    ShardResult sr;
+    if (spooled(sidx) &&
+        reuse_spooled(table, sidx, spool_path[sidx], &text, &sr)) {
+      table.accept(sidx, 0, text, std::move(sr));
+      ++pr->spooled_shards;
+      continue;
+    }
+    enqueue(sidx);
+  }
+
+  mc::ForkMapOptions fm;
+  fm.jobs = std::max(1, par.jobs);
+  for (std::size_t u = 0; u < shard_of.size() && par.sigkill_shard >= 0; ++u) {
+    const std::size_t sidx = shard_of[u];
+    if (sidx < planned && table.unit(sidx).ordinal ==
+                              static_cast<std::size_t>(par.sigkill_shard)) {
+      fm.sigkill_on_unit = static_cast<std::ptrdiff_t>(u);
+      break;
+    }
+  }
+  // A run under a time or memory budget never splits (see
+  // ShardTable::splittable): without a predicate the pool never asks a
+  // unit to stop.
+  if (table.splittable()) {
+    fm.preemptible = [&](std::size_t u) {
+      const std::size_t sidx = shard_of[u];
+      return !spooled(sidx) && table.splittable(sidx);
+    };
+  }
+  fm.on_result = [&](std::size_t u, mc::UnitResult& ur) {
+    const std::size_t sidx = shard_of[u];
+    if (!table.pending(sidx)) return;  // dropped for a whole re-run
+    const ShardUnit& unit = table.unit(sidx);
+    if (ur.ran && ur.done_seconds > ur.assigned_seconds) {
+      ShardSpan span;
+      span.name = b.name + "#" + std::to_string(unit.test_index) + " shard " +
+                  std::to_string(unit.ordinal + 1) + "/" +
+                  std::to_string(unit.total);
+      if (sidx >= planned) span.name += " split " + std::to_string(sidx);
+      span.worker = ur.worker;
+      span.start_seconds = ur.assigned_seconds;
+      span.duration_seconds = ur.done_seconds - ur.assigned_seconds;
+      pr->spans.push_back(std::move(span));
+    }
+    if (!ur.ran) {
+      // The crashed worker's shard is final, for a resumed run too.
+      table.fail(sidx, 0, "fork-pool worker died", /*journaled=*/true);
+      return;
+    }
+    ShardResult sr;
+    std::string why;
+    if (!table.parse(sidx, ur.text, &sr, &why)) {
+      // Not journaled: a resumed run recomputes the shard.
+      std::fprintf(stderr,
+                   "cds::harness: shard %zu of test %zu returned a corrupt "
+                   "result (%s); treating as crashed\n",
+                   unit.ordinal, unit.test_index, why.c_str());
+      table.fail(sidx, 0, why, /*journaled=*/false);
+      return;
+    }
+    if (sr.stats.preempted) ++pr->steals;
+    if (spooled(sidx)) {
+      std::string err;
+      if (!support::write_spool_file(spool_path[sidx], ur.text, &err)) {
+        std::fprintf(stderr, "cds::harness: spool write failed: %s\n",
+                     err.c_str());
+      }
+    }
+    const std::size_t first = table.size();
+    const std::size_t appended = table.accept(sidx, 0, ur.text, std::move(sr));
+    std::string().swap(ur.text);  // folded; the merge needs no copy
+    if (appended == 0) return;
+    for (std::size_t k = 0; k < appended; ++k) enqueue(first + k);
+    // A whole re-run drops its planned shard's queued pieces: an empty
+    // payload makes the worker skip them.
+    for (std::size_t q = 0; q < shard_of.size(); ++q) {
+      if (!table.pending(shard_of[q])) std::string().swap(units.payload(q));
+    }
+  };
+
+  const auto work = [&](std::size_t, const std::string& payload,
+                        const std::function<bool()>& stop) {
+    ShardUnit unit;
+    std::size_t at = 0;
+    std::string why;
+    // An unreadable unit answers with no result: the shard then counts as
+    // crashed instead of exploring some other subtree.
+    if (!parse_shard_unit(split_lines(payload), &at, &unit, &why)) {
+      return std::string();
+    }
+    return run_shard_unit(b, opts, unit, stop);
+  };
+  (void)mc::fork_map(units, work, fm);
+}
 
 ParallelRunResult run_benchmark_parallel(const Benchmark& b,
                                          const RunOptions& opts,
                                          const ParallelOptions& par) {
   ParallelRunResult pr;
   pr.jobs = std::max(1, par.jobs);
-  RunResult& total = pr.merged;
-  total.mc.seed = opts.engine.seed;
-  total.mc.exhausted = true;
   const std::size_t max_shards =
       par.max_shards != 0 ? par.max_shards
                           : static_cast<std::size_t>(pr.jobs) * 4;
-
-  if (!par.spool_dir.empty() && !ensure_dir(par.spool_dir)) {
-    std::fprintf(stderr,
-                 "cds::harness: cannot create spool dir '%s'; spooling off\n",
-                 par.spool_dir.c_str());
+  dist::ShardTable table(b, opts, par.shard_depth, max_shards);
+  pr.probe_executions = table.probe_executions();
+  if (!par.journal_path.empty() &&
+      !table.open_journal(par.journal_path, par.resume, par.coord_chaos,
+                          &pr.resume_error)) {
+    pr.shards = table.planned();
+    pr.merged.verdict = mc::Verdict::kInconclusive;
+    pr.merged.mc.verdict = pr.merged.verdict;
+    return pr;
   }
+  pr.epoch = table.epoch();
+  pr.resumed = table.resumed();
+  pr.replayed_shards = table.replayed();
+  pr.journal_quarantined_bytes = table.quarantined_bytes();
 
-  // Plan every test upfront so shard indices are global and stable.
-  std::vector<PlannedShard> all;
-  for (std::size_t i = 0; i < b.tests.size(); ++i) {
-    mc::Config pcfg = opts.engine;
-    pcfg.test_name = b.name + "#" + std::to_string(i);
-    pcfg.test_index = static_cast<std::uint32_t>(i);
-    mc::ShardPlan plan = mc::enumerate_shard_prefixes(
-        pcfg, b.tests[i], par.shard_depth, max_shards);
-    pr.probe_executions += plan.probe_executions;
-    const std::size_t shard_count = plan.prefixes.size();
-    for (std::size_t u = 0; u < shard_count; ++u) {
-      PlannedShard ps;
-      ps.test = i;
-      ps.unit = u;
-      ps.count = shard_count;
-      ps.su = make_shard_unit(opts, i, std::move(plan.prefixes[u]), u,
-                              shard_count);
-      all.push_back(std::move(ps));
-    }
-  }
-  pr.shards = all.size();
+  run_on_fork_pool(table, b, opts, par, &pr);
+  pr.shards = table.size();
+  pr.minted = table.minted();
+  pr.crashed_shards = table.failed();
+  pr.merged = table.finish();
 
-  // ---- Durability: journal replay (resume) and the write-ahead log ----
-  // Same file format and discipline as the distributed coordinator; the
-  // fork pool never preempts, so replay here is a straight result map.
-  dist::JournalWriter journal;
-  std::uint64_t epoch = 0;
-  if (!par.journal_path.empty()) {
-    std::vector<ShardUnit> planned;
-    planned.reserve(all.size());
-    for (const PlannedShard& ps : all) planned.push_back(ps.su);
-    const std::uint32_t plan_hash = dist::journal_plan_hash(planned);
-    const std::uint32_t fp = dist::journal_config_fingerprint(opts.engine);
-    epoch = 1;
-    if (par.resume) {
-      dist::JournalReplay rep;
-      std::string jerr;
-      if (!dist::load_journal(par.journal_path, &rep, &jerr)) {
-        std::fprintf(stderr, "cds::harness: %s; starting fresh\n",
-                     jerr.c_str());
-      }
-      pr.journal_quarantined_bytes = rep.quarantined_bytes;
-      if (!rep.quarantine_note.empty()) {
-        std::fprintf(stderr, "cds::harness: %s\n",
-                     rep.quarantine_note.c_str());
-      }
-      const dist::JournalRecord* hdr = nullptr;
-      for (const dist::JournalRecord& r : rep.records) {
-        if (r.kind == dist::JournalRecord::Kind::kRun) {
-          hdr = &r;
-          break;
-        }
-      }
-      if (hdr != nullptr) {
-        if (hdr->bench != b.name || hdr->fingerprint != fp ||
-            hdr->plan_hash != plan_hash || hdr->shards != all.size()) {
-          pr.resume_error =
-              "journal '" + par.journal_path + "' records a different " +
-              (hdr->bench != b.name
-                   ? "benchmark ('" + hdr->bench + "')"
-                   : hdr->fingerprint != fp ? std::string("config fingerprint")
-                                            : std::string("shard plan")) +
-              "; refusing to merge incompatible shards (delete the journal "
-              "or rerun with the original parameters)";
-          total.verdict = mc::Verdict::kInconclusive;
-          total.mc.verdict = total.verdict;
-          return pr;
-        }
-        pr.resumed = true;
-        epoch = rep.last_epoch + 1;
-        for (const dist::JournalRecord& r : rep.records) {
-          const auto sidx = static_cast<std::size_t>(r.shard);
-          if (sidx >= all.size()) continue;
-          PlannedShard& ps = all[sidx];
-          if (ps.st != PlannedShard::St::kPending) continue;
-          if (r.kind == dist::JournalRecord::Kind::kResult) {
-            ShardResult sr;
-            std::string why;
-            if (!parse_shard_result(r.payload, &sr, &why) ||
-                sr.stats.preempted) {
-              std::fprintf(stderr,
-                           "cds::harness: journaled result for shard %zu "
-                           "does not parse (%s); recomputing\n",
-                           sidx, why.c_str());
-              continue;
-            }
-            ps.st = PlannedShard::St::kDone;
-            ps.text = r.payload;
-            ++pr.replayed_shards;
-          } else if (r.kind == dist::JournalRecord::Kind::kFailed) {
-            // The crashed incarnation recorded this worker death as the
-            // shard's final outcome; replay preserves it.
-            ps.st = PlannedShard::St::kCrashed;
-          }
-        }
-      }
-    }
-    std::string jerr;
-    if (!journal.open(par.journal_path, /*truncate=*/!pr.resumed, &jerr)) {
-      std::fprintf(stderr, "cds::harness: %s; continuing without durability\n",
-                   jerr.c_str());
-    } else {
-      journal.set_chaos(par.coord_chaos);
-      dist::JournalRecord run;
-      run.kind = dist::JournalRecord::Kind::kRun;
-      run.epoch = epoch;
-      run.shards = all.size();
-      run.plan_hash = plan_hash;
-      run.fingerprint = fp;
-      run.bench = b.name;
-      if (!journal.append(run, &jerr)) {
-        std::fprintf(stderr,
-                     "cds::harness: %s; continuing without durability\n",
-                     jerr.c_str());
-        journal.close_file();
-      }
-    }
-  }
-  pr.epoch = epoch;
-
-  // Coordinator-side observability: per-worker busy time / unit counts and
-  // aggregate queue wait. These are wall-clock and topology facts, so they
-  // live in gauges/timers, never in the bit-identical counter set.
-  std::map<int, std::pair<double, std::uint64_t>> worker_busy;  // w -> {s, units}
-  double queue_wait_seconds = 0.0;
-  double span_base = 0.0;  // offsets each test's fork_map clock in spans
-
-  for (std::size_t i = 0; i < b.tests.size(); ++i) {
-    // Shards this test still owes (everything, on a fresh run).
-    std::vector<std::size_t> pending;  // global indices
-    for (std::size_t g = 0; g < all.size(); ++g) {
-      if (all[g].test == i && all[g].st == PlannedShard::St::kPending) {
-        pending.push_back(g);
-      }
-    }
-
-    double test_end = 0.0;
-    if (!pending.empty()) {
-      mc::ForkMapOptions fm;
-      fm.jobs = pr.jobs;
-      fm.sigkill_on_unit = -1;
-      if (par.sigkill_shard >= 0) {
-        // The hook names a within-test shard index; translate it to this
-        // fork_map call's unit numbering (a resumed run skips shards, so
-        // the two no longer coincide).
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-          if (all[pending[j]].unit ==
-              static_cast<std::size_t>(par.sigkill_shard)) {
-            fm.sigkill_on_unit = static_cast<std::ptrdiff_t>(j);
-          }
-        }
-      }
-      if (!par.spool_dir.empty()) {
-        // Spool files are keyed by fork_map unit index, which shifts as
-        // resumed runs shrink the pending list — give each incarnation
-        // its own spool subdirectory so stale keys can't mismatch.
-        std::string dir = par.spool_dir + "/t" + std::to_string(i);
-        if (epoch != 0) dir += ".e" + std::to_string(epoch);
-        if (ensure_dir(dir)) fm.spool_dir = dir;
-        // A spool entry from an older build passes the CRC footer but not
-        // today's wire schema; reuse it only if it parses, else fork_map
-        // quarantines it and the unit recomputes.
-        fm.accept_spooled = [](const std::string& text, std::string* why) {
-          ShardResult sr;
-          if (!parse_shard_result(text, &sr, why)) return false;
-          if (sr.stats.preempted) {
-            if (why) *why = "preempted partial result in spool";
-            return false;
-          }
-          return true;
-        };
-      }
-      if (journal.is_open()) {
-        // WAL: each unit outcome is durable the moment the pool reports
-        // it, before this function's own bookkeeping consumes it.
-        fm.on_result = [&](std::size_t j, const mc::UnitResult& ur) {
-          dist::JournalRecord rec;
-          rec.shard = pending[j];
-          rec.attempt = 0;  // fork-pool units run under no lease
-          if (ur.ran) {
-            // Journal only payloads replay will trust; a corrupt one is
-            // recomputed on resume, same as it crashes below.
-            ShardResult sr;
-            std::string why;
-            if (!parse_shard_result(ur.text, &sr, &why) ||
-                sr.stats.preempted) {
-              return;
-            }
-            rec.kind = dist::JournalRecord::Kind::kResult;
-            rec.payload = ur.text;
-          } else {
-            rec.kind = dist::JournalRecord::Kind::kFailed;
-            rec.payload = "fork-pool worker died";
-          }
-          std::string jerr;
-          if (!journal.append(rec, &jerr)) {
-            std::fprintf(stderr,
-                         "cds::harness: journal append failed (%s); "
-                         "continuing without durability\n",
-                         jerr.c_str());
-          }
-        };
-      }
-
-      std::vector<mc::UnitResult> results = mc::fork_map(
-          pending.size(),
-          [&](std::size_t j) {
-            return run_shard_unit(b, opts, all[pending[j]].su);
-          },
-          fm);
-
-      for (std::size_t j = 0; j < pending.size(); ++j) {
-        mc::UnitResult& ur = results[j];
-        PlannedShard& ps = all[pending[j]];
-        if (ur.ran && !ur.from_spool &&
-            ur.done_seconds > ur.assigned_seconds) {
-          ShardSpan span;
-          span.name = b.name + "#" + std::to_string(i) + " shard " +
-                      std::to_string(ps.unit + 1) + "/" +
-                      std::to_string(ps.count);
-          span.worker = ur.worker;
-          span.start_seconds = span_base + ur.assigned_seconds;
-          span.duration_seconds = ur.done_seconds - ur.assigned_seconds;
-          pr.spans.push_back(std::move(span));
-          auto& [busy, units] = worker_busy[ur.worker];
-          busy += ur.done_seconds - ur.assigned_seconds;
-          ++units;
-          queue_wait_seconds += ur.assigned_seconds;
-          if (ur.done_seconds > test_end) test_end = ur.done_seconds;
-        }
-        if (!ur.ran) {
-          ps.st = PlannedShard::St::kCrashed;
-          continue;
-        }
-        if (ur.from_spool) ++pr.spooled_shards;
-        ps.st = PlannedShard::St::kDone;
-        ps.text = std::move(ur.text);
-      }
-    }
-
-    // Merge this test's shards in shard order — shard order is DFS
-    // order, so the first falsifying shard's violations lead the merged
-    // list and the surfaced witness is the one serial DFS would have
-    // found first. Replayed and freshly computed shards merge from the
-    // same representation (result text), making resume transparent.
-    bool test_exhausted = true;
-    bool test_falsified = false;
-    std::uint64_t test_fatals = 0;
-    std::uint64_t crashed_here = 0;
-    std::uint64_t recorded_here = 0;
-    for (std::size_t g = 0; g < all.size(); ++g) {
-      PlannedShard& ps = all[g];
-      if (ps.test != i) continue;
-      if (ps.st == PlannedShard::St::kCrashed) {
-        ++crashed_here;
-        test_exhausted = false;
-        continue;
-      }
-      ShardResult sr;
-      std::string err;
-      // Preempted partial results are a distributed-coordinator concept;
-      // fork_map workers run with no stop_request, so one here means the
-      // spool was fed by a different transport — recompute as crashed.
-      if (!parse_shard_result(ps.text, &sr, &err) || sr.stats.preempted) {
-        std::fprintf(stderr,
-                     "cds::harness: shard %zu of test %zu returned a "
-                     "corrupt result (%s); treating as crashed\n",
-                     ps.unit, i, err.c_str());
-        ++crashed_here;
-        test_exhausted = false;
-        continue;
-      }
-      mc::merge_shard_stats(total.mc, sr.stats);
-      test_exhausted = test_exhausted && sr.stats.exhausted;
-      test_falsified = test_falsified || sr.stats.violations_total > 0;
-      test_fatals += sr.stats.engine_fatal_execs;
-      total.spec.executions_checked += sr.spec.executions_checked;
-      total.spec.inadmissible_execs += sr.spec.inadmissible_execs;
-      total.spec.assertion_violation_execs +=
-          sr.spec.assertion_violation_execs;
-      total.spec.histories_checked += sr.spec.histories_checked;
-      total.spec.justification_checks += sr.spec.justification_checks;
-      total.spec.history_cap_hit |= sr.spec.history_cap_hit;
-      total.spec.r_cycle_seen |= sr.spec.r_cycle_seen;
-      total.metrics.merge(sr.metrics);
-      // Per-test record cap mirrors the serial engine's: shards arrive in
-      // DFS order and each records its DFS-first violations, so the first
-      // max_recorded_violations across shards are the same records a
-      // serial run keeps.
-      for (mc::Violation& v : sr.violations) {
-        if (opts.engine.max_recorded_violations != 0 &&
-            recorded_here >= opts.engine.max_recorded_violations) {
-          break;
-        }
-        total.violations.push_back(std::move(v));
-        ++recorded_here;
-      }
-      for (std::string& rep : sr.reports) {
-        total.reports.push_back(std::move(rep));
-      }
-    }
-    pr.crashed_shards += crashed_here;
-    mc::Verdict tv =
-        test_falsified
-            ? mc::Verdict::kFalsified
-            : (test_exhausted && test_fatals == 0 && crashed_here == 0
-                   ? mc::Verdict::kVerifiedExhaustive
-                   : mc::Verdict::kInconclusive);
-    weaken_verdict(total.verdict, tv);
-    total.mc.exhausted = total.mc.exhausted && test_exhausted;
-    span_base += test_end;
-  }
-  total.mc.verdict = total.verdict;
-
-  if (journal.is_open()) {
-    dist::JournalRecord done;
-    done.kind = dist::JournalRecord::Kind::kDone;
-    done.verdict = static_cast<std::uint64_t>(total.verdict);
-    std::string jerr;
-    if (!journal.append(done, &jerr)) {
-      std::fprintf(stderr, "cds::harness: %s\n", jerr.c_str());
-    }
-  }
-
-  obs::Registry& M = total.metrics;
+  // Pool facts: wall-clock and topology, so they live in gauges/timers,
+  // never in the bit-identical counter set.
+  obs::Registry& M = pr.merged.metrics;
   M.gauge("parallel.jobs").set(static_cast<std::uint64_t>(pr.jobs));
   M.gauge("parallel.shards").set(pr.shards);
   M.gauge("parallel.crashed_shards").set(pr.crashed_shards);
   M.gauge("parallel.spooled_shards").set(pr.spooled_shards);
   M.gauge("parallel.probe_executions").set(pr.probe_executions);
+  M.gauge("parallel.steals").set(pr.steals);
+  M.gauge("parallel.minted").set(pr.minted);
   M.gauge("parallel.epoch").set(pr.epoch);
   M.gauge("parallel.resumed").set(pr.resumed ? 1 : 0);
   M.gauge("parallel.replayed_shards").set(pr.replayed_shards);
   M.gauge("parallel.journal_quarantined_bytes")
       .set(pr.journal_quarantined_bytes);
+  // Per-worker busy time and unit counts, plus the aggregate wait from the
+  // pool's start to each assignment.
+  std::map<int, std::pair<double, std::uint64_t>> worker_busy;  // w -> {s, n}
+  double queue_wait_seconds = 0.0;
+  for (const ShardSpan& s : pr.spans) {
+    auto& [busy, units] = worker_busy[s.worker];
+    busy += s.duration_seconds;
+    ++units;
+    queue_wait_seconds += s.start_seconds;
+  }
   if (queue_wait_seconds > 0.0) {
     M.timer("parallel.shard_queue_wait")
         .add_ns(static_cast<std::uint64_t>(queue_wait_seconds * 1e9));

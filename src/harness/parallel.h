@@ -1,7 +1,7 @@
 // Parallel benchmark driver: shards each unit test's DFS tree into
-// disjoint subtree prefixes (mc/shard.h), fans the shards out to forked
-// worker processes, and merges per-shard results into one RunResult with a
-// deterministic verdict:
+// disjoint subtree prefixes (mc/shard.h), runs the shards on one pool of
+// forked worker processes per benchmark, and merges per-shard results
+// into one RunResult with a deterministic verdict:
 //
 //   - falsified   if any shard falsified; shards merge in DFS order, so
 //                 the surfaced witness is the serial run's first violation;
@@ -9,6 +9,15 @@
 //                 shard hit an internal engine error, and no worker died;
 //   - inconclusive otherwise (including any crashed worker: its shard's
 //                 subtree was not covered).
+//
+// The static plan (--shard-depth levels, at most jobs * 4 shards per unit
+// test) is only the initial queue. When a worker is idle and nothing is
+// queued, the shard assigned longest ago is asked to stop; its partial
+// result and the sub-shards split from its remaining DFS frontier are
+// queued, journaled and merged exactly as the socket coordinator does,
+// through the same shard table (dist/shard_table.h). Runs under a time
+// or memory budget never split a shard; under an execution cap a split
+// shard whose pieces reach the cap re-runs whole (see the table).
 //
 // A worker-process death (crash, OOM-kill, SIGKILL) is contained as that
 // shard's outcome — the shard is recorded crashed, never retried, and the
@@ -30,29 +39,37 @@
 #include "dist/chaos.h"
 #include "harness/runner.h"
 
+namespace cds::dist {
+class ShardTable;
+}
+
 namespace cds::harness {
 
 struct ParallelOptions {
   int jobs = 1;
-  // Prefix-enumeration depth: shards are subtrees rooted at most this many
-  // choice points below the root. Deeper = more, finer shards (better load
-  // balance, more probe executions).
+  // Prefix-enumeration depth of the initial queue: shards are subtrees
+  // rooted at most this many choice points below the root.
   int shard_depth = 2;
-  // Cap on shard count per unit test; 0 = jobs * 4.
+  // Cap on planned shards per unit test; 0 = jobs * 4.
   std::size_t max_shards = 0;
-  // Forwarded to mc::ForkMapOptions::spool_dir (per-test subdirectories
-  // are created underneath). Empty = no spooling.
+  // Result cache: each planned shard's result is kept in
+  // "<spool_dir>/t<test>[.e<epoch>]/unit-<k>.result" (k counts the test's
+  // shards still pending in this incarnation) and reused by a rerun. A
+  // spool pins the plan: spooled shards run whole and are never preempted,
+  // and minted shards are never spooled. Empty = no spooling.
   std::string spool_dir;
-  // Test hook: SIGKILL the worker holding this shard index (applies to
-  // every unit test; use single-test benchmarks in containment tests).
+  // Test hook: SIGKILL the worker assigned planned shard number
+  // `sigkill_shard` of the first unit test that has it pending (use
+  // single-test benchmarks in containment tests).
   std::ptrdiff_t sigkill_shard = -1;
   // Write-ahead shard-outcome journal (dist/journal.h — same file format
   // the distributed coordinator writes). Every shard outcome is durable
   // before the merge consumes it; empty = no durability.
   std::string journal_path;
   // Replay an existing journal before running: shards it records are
-  // satisfied from their journaled results, only the rest recompute. A
-  // journal recorded under a different benchmark/config/shard plan sets
+  // satisfied from their journaled results (preempted ones re-mint their
+  // sub-shards), only the rest recompute. A journal recorded under a
+  // different benchmark/config/shard plan sets
   // ParallelRunResult::resume_error instead of merging incompatible
   // state. With no journal on disk, --resume degrades to a fresh run.
   bool resume = false;
@@ -60,23 +77,25 @@ struct ParallelOptions {
   dist::CoordinatorChaos coord_chaos;
 };
 
-// Coordinator-side timing of one shard's stay on a worker, for the
-// Chrome-trace export (--trace-out): observability only, never merged into
-// the deterministic counters.
+// Parent-side timing of one shard's stay on a worker, for the Chrome-trace
+// export (--trace-out): observability only, never merged into the
+// deterministic counters.
 struct ShardSpan {
-  std::string name;  // "bench#test shard u/N"
+  std::string name;  // "bench#test shard u/N", plus " split <i>" if minted
   int worker = -1;
-  double start_seconds = 0.0;     // since that test's fork_map entry
+  double start_seconds = 0.0;     // since the benchmark's pool started
   double duration_seconds = 0.0;  // assignment-to-result wall time
 };
 
 struct ParallelRunResult {
   RunResult merged;
   int jobs = 1;
-  std::uint64_t shards = 0;          // work units across all unit tests
+  std::uint64_t shards = 0;          // planned + minted work units
   std::uint64_t crashed_shards = 0;  // worker died / result unparseable
   std::uint64_t spooled_shards = 0;  // satisfied from the spool directory
   std::uint64_t probe_executions = 0;
+  std::uint64_t steals = 0;  // shards preempted for idle workers
+  std::uint64_t minted = 0;  // split from frontiers, or capped re-runs
   std::vector<ShardSpan> spans;
   // Durability (journal) bookkeeping.
   std::uint64_t epoch = 0;            // this incarnation (0 = no journal)
@@ -92,11 +111,23 @@ struct ParallelRunResult {
 // `opts` are ignored; sharded runs checkpoint through the write-ahead
 // journal (`ParallelOptions::journal_path`/`resume`) instead, replaying
 // completed shards to a bit-identical verdict and counter set. The
-// engine time budget, if any, applies per shard rather than across the
-// whole benchmark.
+// engine budgets, if any, apply per planned shard rather than across the
+// whole benchmark: a time-cut run takes at most about ceil(shards / jobs)
+// budgets of wall time, and a capped run merges the counters of the
+// unsplit plan.
 ParallelRunResult run_benchmark_parallel(const Benchmark& b,
                                          const RunOptions& opts,
                                          const ParallelOptions& par);
+
+// Runs every pending shard of `table` on one pool of `par.jobs` forked
+// workers that steal as described above, feeding each result into the
+// table as it arrives (journaled first when the table journals). Uses
+// `par`'s jobs, spool and kill hook, and adds the pool's facts (spans,
+// steals, spool hits) to *pr. run_benchmark_parallel and the socket
+// coordinator's local fallback both run shards this way.
+void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
+                      const RunOptions& opts, const ParallelOptions& par,
+                      ParallelRunResult* pr);
 
 }  // namespace cds::harness
 

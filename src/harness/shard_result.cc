@@ -340,6 +340,52 @@ void weaken_verdict(mc::Verdict& into, mc::Verdict v) {
   }
 }
 
+std::string render_shard_unit(const ShardUnit& u) {
+  return "unit test=" + std::to_string(u.test_index) +
+         " ordinal=" + std::to_string(u.ordinal) +
+         " total=" + std::to_string(u.total) +
+         " seed=" + std::to_string(u.engine_seed) +
+         " samples=" + std::to_string(u.sample_executions) + "\nprefix " +
+         std::to_string(u.prefix.size()) + "\n" + mc::render_choices(u.prefix);
+}
+
+bool parse_shard_unit(const std::vector<std::string>& lines, std::size_t* i,
+                      ShardUnit* out, std::string* why) {
+  if (*i >= lines.size() || lines[*i].rfind("unit ", 0) != 0) {
+    *why = "missing unit line";
+    return false;
+  }
+  ShardUnit u;
+  std::uint64_t test = 0, ordinal = 0, total = 0, npfx = 0;
+  if (!parse_kv_tokens(lines[*i], 5,
+                       {{"test", &test},
+                        {"ordinal", &ordinal},
+                        {"total", &total},
+                        {"seed", &u.engine_seed},
+                        {"samples", &u.sample_executions}},
+                       why)) {
+    return false;
+  }
+  std::size_t at = *i + 1;
+  if (at >= lines.size() || lines[at].rfind("prefix ", 0) != 0 ||
+      !parse_u64_tok(lines[at].c_str() + 7, &npfx)) {
+    *why = "missing prefix count";
+    return false;
+  }
+  ++at;
+  if (npfx > lines.size()) {
+    *why = "prefix count exceeds message";
+    return false;
+  }
+  if (!mc::parse_choices(lines, &at, npfx, &u.prefix, why)) return false;
+  u.test_index = static_cast<std::size_t>(test);
+  u.ordinal = static_cast<std::size_t>(ordinal);
+  u.total = static_cast<std::size_t>(total == 0 ? 1 : total);
+  *out = std::move(u);
+  *i = at;
+  return true;
+}
+
 ShardUnit make_shard_unit(const RunOptions& base, std::size_t test_index,
                           std::vector<mc::Choice> prefix, std::size_t ordinal,
                           std::size_t total) {

@@ -105,6 +105,17 @@ struct ShardUnit {
   std::uint64_t sample_executions = 0;
 };
 
+// A ShardUnit as text — the fork pool's unit payload and the block the
+// shard-assign wire carries:
+//   unit test=<i> ordinal=<k> total=<n> seed=<s> samples=<m>
+//   prefix <n>
+//   S 1/2                                  # n trail lines
+std::string render_shard_unit(const ShardUnit& u);
+// Strict parse starting at lines[*i]; advances *i past the block. On
+// failure *why names the problem and *out is untouched.
+bool parse_shard_unit(const std::vector<std::string>& lines, std::size_t* i,
+                      ShardUnit* out, std::string* why);
+
 // Derives a ShardUnit from the base options the way the parallel planner
 // does: per-shard seed, sample budget divided across shards.
 ShardUnit make_shard_unit(const RunOptions& base, std::size_t test_index,

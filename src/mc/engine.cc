@@ -991,7 +991,12 @@ bool Engine::conflicts(const PendingOp& a, const PendingOp& b) {
     return a.cls == C::kMutex && b.cls == C::kMutex && a.mutex == b.mutex;
   }
   if (a.cls == C::kScFence || b.cls == C::kScFence) return true;
-  return a.loc == b.loc && (a.cls == C::kWrite || b.cls == C::kWrite);
+  if (a.loc != b.loc) return false;
+  if (a.cls == C::kWrite || b.cls == C::kWrite) return true;
+  // Two loads of one location commute unless both are seq_cst: each raises
+  // the location's SC read floor, so which runs first bounds what the
+  // other may read.
+  return is_seq_cst(a.order) && is_seq_cst(b.order);
 }
 
 void Engine::park(PendingOp op) {

@@ -253,8 +253,9 @@ class Engine : public harness::Backend {
     Class cls = Class::kInternal;
     std::uint32_t loc = 0;
     const MutexState* mutex = nullptr;
-    // Declared memory order (after any strengthen_to_sc coercion); rf mode
-    // uses it to tell deferred (non-seq_cst) loads from branching ones.
+    // Declared memory order of a load (after any strengthen_to_sc
+    // coercion): rf mode tells deferred (non-seq_cst) loads from branching
+    // ones by it, and sleep sets order same-location seq_cst loads.
     MemoryOrder order = MemoryOrder::relaxed;
   };
 
@@ -278,8 +279,9 @@ class Engine : public harness::Backend {
   };
 
   // True iff the two pending operations do not commute (executing them in
-  // either order can differ): same-location with a write, same mutex, or
-  // an SC fence against any memory operation.
+  // either order can differ): same-location with a write, two seq_cst
+  // loads of one location, same mutex, or an SC fence against any memory
+  // operation.
   static bool conflicts(const PendingOp& a, const PendingOp& b);
 
   void run_one(const TestFn& test);

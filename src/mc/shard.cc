@@ -1,12 +1,14 @@
 #include "mc/shard.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "support/io.h"
 
@@ -14,6 +16,7 @@
 #define CDS_MC_SHARD_HAS_FORK 1
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -119,19 +122,31 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
 
 namespace {
 
-std::string spool_path(const std::string& dir, std::size_t i) {
-  return dir + "/unit-" + std::to_string(i) + ".result";
-}
-
 #ifdef CDS_MC_SHARD_HAS_FORK
 
-// Worker loop: read "u <idx>\n" assignments off `in`, answer each with an
-// "r <idx> <len>\n<len payload bytes>" frame on `out`; "q\n" (or EOF, or
-// any malformed input) ends the process. Never returns.
-[[noreturn]] void worker_loop(int in, int out,
-                              const std::function<std::string(std::size_t)>& work,
-                              std::ptrdiff_t sigkill_on_unit) {
-  std::string line;
+// Steal only from a unit that has run this long: a younger one may be
+// about to finish, and splitting it would trade one result for many.
+constexpr double kStealAfterSeconds = 0.002;
+
+// One preempt word per worker, a cache line apart, in a MAP_SHARED
+// mapping the workers inherit: the parent stores `unit + 1` to ask that
+// unit to stop, and the worker compares it with its own unit between
+// executions.
+constexpr std::size_t kStopWordStride = 64;
+
+std::atomic<std::uint64_t>* stop_word(void* words, std::size_t w) {
+  return reinterpret_cast<std::atomic<std::uint64_t>*>(
+      static_cast<char*>(words) + w * kStopWordStride);
+}
+
+// Worker loop: read "u <idx> <len>\n<len payload bytes>" assignments off
+// `in`, answer each with an "r <idx> <len>\n<len result bytes>" frame on
+// `out`; "q\n" (or EOF, or any malformed input) ends the process. Never
+// returns.
+[[noreturn]] void worker_loop(int in, int out, const UnitWork& work,
+                              std::ptrdiff_t sigkill_on_unit,
+                              const std::atomic<std::uint64_t>* word) {
+  std::string line, payload;
   for (;;) {
     line.clear();
     char c;
@@ -142,15 +157,21 @@ std::string spool_path(const std::string& dir, std::size_t i) {
       line.push_back(c);
     }
     if (line == "q") _exit(0);
-    if (line.size() < 3 || line[0] != 'u' || line[1] != ' ') _exit(1);
-    char* end = nullptr;
-    std::size_t idx =
-        static_cast<std::size_t>(std::strtoull(line.c_str() + 2, &end, 10));
-    if (end == nullptr || *end != '\0') _exit(1);
+    unsigned long long idx = 0, len = 0;
+    char extra = 0;
+    if (std::sscanf(line.c_str(), "u %llu %llu%c", &idx, &len, &extra) != 2) {
+      _exit(1);
+    }
+    payload.resize(len);
+    if (len > 0 && !support::read_full(in, payload.data(), len)) _exit(1);
     if (static_cast<std::ptrdiff_t>(idx) == sigkill_on_unit) {
       raise(SIGKILL);  // test hook: die holding the assignment
     }
-    std::string text = work(idx);
+    const std::uint64_t me = idx + 1;
+    const std::function<bool()> stop = [word, me] {
+      return word->load(std::memory_order_relaxed) == me;
+    };
+    std::string text = work(idx, payload, stop);
     std::string hdr = "r " + std::to_string(idx) + " " +
                       std::to_string(text.size()) + "\n";
     if (!support::write_full(out, hdr) || !support::write_full(out, text)) {
@@ -166,100 +187,88 @@ std::string spool_path(const std::string& dir, std::size_t i) {
 std::vector<UnitResult> fork_map(
     std::size_t n, const std::function<std::string(std::size_t)>& work,
     const ForkMapOptions& opts) {
-  std::vector<UnitResult> out(n);
-  std::vector<char> done(n, 0);
+  UnitQueue units(n);
+  return fork_map(
+      units,
+      [&work](std::size_t i, const std::string&, const std::function<bool()>&) {
+        return work(i);
+      },
+      opts);
+}
+
+std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
+                                 const ForkMapOptions& opts) {
+  std::vector<UnitResult> out;
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
-
-  // The whole map — worker pipes, spool writes, and the sequential
-  // fallback — runs with SIGPIPE ignored, so a worker dying at any point
-  // in the conversation surfaces as EPIPE on the write that raced it.
-  support::SigpipeIgnoreScope sigpipe_guard;
-
-  if (!opts.spool_dir.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string path = spool_path(opts.spool_dir, i);
-      std::string text, err;
-      bool quarantined = false;
-      if (support::read_spool_file(path, &text, &err, &quarantined)) {
-        std::string why;
-        if (opts.accept_spooled && !opts.accept_spooled(text, &why)) {
-          // Intact on disk but not a payload this build can consume
-          // (typically a stale wire version): set it aside and recompute.
-          std::fprintf(stderr,
-                       "cds::mc::fork_map: rejecting spool entry %s (%s); "
-                       "quarantined\n",
-                       path.c_str(), why.c_str());
-          (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
-          continue;
-        }
-        out[i].ran = true;
-        out[i].from_spool = true;
-        out[i].text = std::move(text);
-        done[i] = 1;
-        if (opts.on_result) opts.on_result(i, out[i]);
-      } else if (quarantined) {
-        // Partial write or bit rot: the file was renamed aside and the
-        // unit will be recomputed below.
-        std::fprintf(stderr, "cds::mc::fork_map: corrupt spool entry %s\n",
-                     err.c_str());
-      }
-    }
-  }
-
-  auto spool_write = [&](std::size_t i) {
-    if (opts.spool_dir.empty()) return;
-    std::string err;
-    if (!support::write_spool_file(spool_path(opts.spool_dir, i), out[i].text,
-                                   &err)) {
-      std::fprintf(stderr, "cds::mc::fork_map: spool write failed: %s\n",
-                   err.c_str());
-    }
+  // Units [0, next) have been handed out; the rest are queued. Units are
+  // handed out in index order and never retried.
+  std::size_t next = 0;
+  auto finish = [&](std::size_t i) {
+    if (opts.on_result) opts.on_result(i, out[i]);
   };
 
+  // The whole map — worker pipes and the sequential fallback — runs with
+  // SIGPIPE ignored, so a worker dying at any point in the conversation
+  // surfaces as EPIPE on the write that raced it.
+  support::SigpipeIgnoreScope sigpipe_guard;
+
   // Sequential fallback; also sweeps up units left unassigned if every
-  // worker dies. Units already marked done (spool hits, crashed shards)
-  // are left alone.
+  // worker dies, including units on_result appends meanwhile.
   auto run_inline = [&]() {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i]) continue;
-      out[i].assigned_seconds = elapsed();
-      out[i].worker = 0;
-      out[i].text = work(i);
-      out[i].done_seconds = elapsed();
-      out[i].ran = true;
-      done[i] = 1;
-      spool_write(i);
-      if (opts.on_result) opts.on_result(i, out[i]);
+    const std::function<bool()> never = [] { return false; };
+    for (; next < units.size(); ++next) {
+      out.resize(units.size());
+      UnitResult& r = out[next];
+      r.assigned_seconds = elapsed();
+      r.worker = 0;
+      r.text = work(next, units.payload(next), never);
+      r.done_seconds = elapsed();
+      r.ran = true;
+      std::string().swap(units.payload(next));
+      finish(next);
     }
+    out.resize(units.size());
   };
 
 #ifndef CDS_MC_SHARD_HAS_FORK
   run_inline();
   return out;
 #else
-  std::size_t pending = 0;
-  for (std::size_t i = 0; i < n; ++i) pending += done[i] ? 0u : 1u;
-  if (opts.jobs <= 1 || pending <= 1) {
+  // A stealing pool forks even for one unit: the idle workers split it.
+  const bool steal = static_cast<bool>(opts.preemptible);
+  if (opts.jobs <= 1 || units.size() <= (steal ? 0u : 1u)) {
     run_inline();
     return out;
   }
 
   struct Worker {
     pid_t pid = -1;
-    int work_fd = -1;    // coordinator writes assignments
-    int result_fd = -1;  // coordinator reads result frames
+    int work_fd = -1;    // parent writes assignments
+    int result_fd = -1;  // parent reads result frames
     std::ptrdiff_t assigned = -1;
     std::string buf;
     bool alive = false;
   };
-  std::vector<Worker> ws;
+  // A stealing pool keeps every worker: units appear as running ones split.
   const std::size_t want =
-      std::min(static_cast<std::size_t>(opts.jobs), pending);
+      steal ? static_cast<std::size_t>(opts.jobs)
+            : std::min(static_cast<std::size_t>(opts.jobs), units.size());
+  const std::size_t words_bytes = want * kStopWordStride;
+  void* words = mmap(nullptr, words_bytes, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (words == MAP_FAILED) {
+    run_inline();
+    return out;
+  }
+  for (std::size_t w = 0; w < want; ++w) {
+    new (stop_word(words, w)) std::atomic<std::uint64_t>(0);
+  }
 
+  std::vector<Worker> ws;
   for (std::size_t w = 0; w < want; ++w) {
     int wfd[2], rfd[2];
     if (pipe(wfd) != 0) break;
@@ -283,7 +292,8 @@ std::vector<UnitResult> fork_map(
         close(o.work_fd);
         close(o.result_fd);
       }
-      worker_loop(wfd[0], rfd[1], work, opts.sigkill_on_unit);
+      worker_loop(wfd[0], rfd[1], work, opts.sigkill_on_unit,
+                  stop_word(words, w));
     }
     close(wfd[0]);
     close(rfd[1]);
@@ -296,38 +306,90 @@ std::vector<UnitResult> fork_map(
   }
 
   if (ws.empty()) {
-    run_inline();  // spool-backed sequential fallback
+    munmap(words, words_bytes);
+    run_inline();
     return out;
   }
 
-  std::size_t next_unit = 0;
-  auto next_pending = [&]() -> std::ptrdiff_t {
-    while (next_unit < n && done[next_unit]) ++next_unit;
-    return next_unit < n ? static_cast<std::ptrdiff_t>(next_unit++) : -1;
-  };
   auto assign = [&](Worker& w) {
-    std::ptrdiff_t u = next_pending();
-    if (u < 0) {
-      (void)support::write_full(w.work_fd, "q\n");
-      close(w.work_fd);
-      w.work_fd = -1;
-      w.assigned = -1;
-      return;
-    }
-    w.assigned = u;
-    out[static_cast<std::size_t>(u)].assigned_seconds = elapsed();
-    out[static_cast<std::size_t>(u)].worker =
-        static_cast<int>(&w - ws.data());
-    (void)support::write_full(w.work_fd, "u " + std::to_string(u) + "\n");
-    // If the write failed the worker is dying; its EOF below records the
+    if (next >= units.size()) return;
+    const std::size_t u = next++;
+    out.resize(units.size());
+    w.assigned = static_cast<std::ptrdiff_t>(u);
+    out[u].assigned_seconds = elapsed();
+    out[u].worker = static_cast<int>(&w - ws.data());
+    std::string& payload = units.payload(u);
+    // If a write fails the worker is dying; its EOF below records the
     // unit as crashed.
+    (void)(support::write_full(w.work_fd,
+                               "u " + std::to_string(u) + " " +
+                                   std::to_string(payload.size()) + "\n") &&
+           support::write_full(w.work_fd, payload));
+    std::string().swap(payload);
   };
-  for (Worker& w : ws) assign(w);
 
-  std::size_t alive = ws.size();
+  // The unit with an outstanding stop request, if any. It is cleared when
+  // that unit reaches its final state, and a unit is handed out only
+  // once, so no unit is ever asked twice.
+  std::ptrdiff_t asked = -1;
+  auto settle = [&](Worker& w, bool ran) {
+    const auto idx = static_cast<std::size_t>(w.assigned);
+    out[idx].ran = ran;
+    out[idx].done_seconds = elapsed();
+    if (asked == w.assigned) asked = -1;
+    w.assigned = -1;
+    finish(idx);
+  };
+
   std::vector<pollfd> pfds;
   std::vector<std::size_t> order;
-  while (alive > 0) {
+  for (;;) {
+    // Hand queued units (on_result may have appended some) to idle
+    // workers; stop once nothing is queued or running.
+    std::size_t alive = 0, busy = 0;
+    for (Worker& w : ws) {
+      if (!w.alive) continue;
+      ++alive;
+      if (w.assigned < 0) assign(w);
+      if (w.assigned >= 0) ++busy;
+    }
+    if (busy == 0) break;
+
+    // Work stealing: a worker is idle, so the queue is dry. Ask the
+    // longest-running preemptible unit to stop; its result comes back
+    // through on_result like any other, and whatever the caller appends
+    // from it feeds the idle workers.
+    int timeout_ms = -1;
+    if (steal && asked < 0 && busy < alive) {
+      const Worker* victim = nullptr;
+      for (const Worker& w : ws) {
+        if (!w.alive || w.assigned < 0 ||
+            !opts.preemptible(static_cast<std::size_t>(w.assigned))) {
+          continue;
+        }
+        if (victim == nullptr ||
+            out[static_cast<std::size_t>(w.assigned)].assigned_seconds <
+                out[static_cast<std::size_t>(victim->assigned)]
+                    .assigned_seconds) {
+          victim = &w;
+        }
+      }
+      if (victim != nullptr) {
+        const double age =
+            elapsed() -
+            out[static_cast<std::size_t>(victim->assigned)].assigned_seconds;
+        if (age >= kStealAfterSeconds) {
+          asked = victim->assigned;
+          stop_word(words, static_cast<std::size_t>(victim - ws.data()))
+              ->store(static_cast<std::uint64_t>(asked) + 1,
+                      std::memory_order_relaxed);
+        } else {
+          timeout_ms =
+              1 + static_cast<int>((kStealAfterSeconds - age) * 1000.0);
+        }
+      }
+    }
+
     pfds.clear();
     order.clear();
     for (std::size_t wi = 0; wi < ws.size(); ++wi) {
@@ -335,7 +397,7 @@ std::vector<UnitResult> fork_map(
       pfds.push_back(pollfd{ws[wi].result_fd, POLLIN, 0});
       order.push_back(wi);
     }
-    int pr = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
+    int pr = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (pr < 0) {
       if (errno == EINTR) continue;
       break;
@@ -347,26 +409,18 @@ std::vector<UnitResult> fork_map(
       long got = support::read_some(w.result_fd, tmp, sizeof tmp);
       if (got > 0) {
         w.buf.append(tmp, static_cast<std::size_t>(got));
-        for (;;) {  // drain complete frames
-          std::size_t nl = w.buf.find('\n');
-          if (nl == std::string::npos) break;
+        std::size_t nl = w.buf.find('\n');
+        if (nl != std::string::npos) {
           unsigned long long idx = 0, len = 0;
           if (std::sscanf(w.buf.c_str(), "r %llu %llu", &idx, &len) != 2 ||
-              idx >= n) {
+              static_cast<std::ptrdiff_t>(idx) != w.assigned) {
             // Protocol corruption: drop the worker, crash its unit below.
             got = 0;
-            break;
+          } else if (w.buf.size() >= nl + 1 + len) {
+            out[idx].text = w.buf.substr(nl + 1, len);
+            w.buf.erase(0, nl + 1 + len);
+            settle(w, true);
           }
-          if (w.buf.size() < nl + 1 + len) break;  // frame incomplete
-          out[idx].text = w.buf.substr(nl + 1, len);
-          out[idx].ran = true;
-          out[idx].done_seconds = elapsed();
-          done[idx] = 1;
-          spool_write(idx);
-          if (opts.on_result) opts.on_result(idx, out[idx]);
-          w.buf.erase(0, nl + 1 + len);
-          w.assigned = -1;
-          assign(w);
         }
       }
       if (got <= 0) {
@@ -374,35 +428,28 @@ std::vector<UnitResult> fork_map(
         // assignment becomes a crashed unit — recorded, never retried, so
         // the merged outcome is deterministic.
         w.alive = false;
-        --alive;
-        if (w.work_fd >= 0) {
-          close(w.work_fd);
-          w.work_fd = -1;
-        }
+        close(w.work_fd);
+        w.work_fd = -1;
         close(w.result_fd);
         w.result_fd = -1;
-        if (w.assigned >= 0) {
-          const auto idx = static_cast<std::size_t>(w.assigned);
-          done[idx] = 1;
-          out[idx].ran = false;
-          if (opts.on_result) opts.on_result(idx, out[idx]);
-          w.assigned = -1;
-        }
-        if (w.pid > 0) {
-          kill(w.pid, SIGKILL);  // no-op if it exited cleanly
-        }
+        if (w.assigned >= 0) settle(w, false);
+        kill(w.pid, SIGKILL);  // no-op if it exited cleanly
       }
     }
   }
 
   for (Worker& w : ws) {
-    if (w.work_fd >= 0) close(w.work_fd);
+    if (w.work_fd >= 0) {
+      (void)support::write_full(w.work_fd, "q\n");
+      close(w.work_fd);
+    }
     if (w.result_fd >= 0) close(w.result_fd);
     int status = 0;
     waitpid(w.pid, &status, 0);
   }
+  munmap(words, words_bytes);
 
-  // Units never assigned (all workers died early) still get computed.
+  // Units never assigned (every worker died) still get computed.
   run_inline();
   return out;
 #endif

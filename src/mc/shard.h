@@ -1,6 +1,7 @@
 // Parallel sharding substrate: splits a DFS exploration into disjoint
 // subtrees by enumerating trail prefixes, and fans work units out to forked
-// worker processes over a pipe-based protocol.
+// worker processes over a pipe-based protocol, splitting a running unit's
+// remaining frontier when a worker would otherwise sit idle.
 //
 // Because every execution is a deterministic function of its choice
 // sequence (mc/trail.h), the subtrees rooted at the children of any choice
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/config.h"
@@ -68,7 +70,7 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
                      const std::vector<Choice>& b);
 
 // ---------------------------------------------------------------------------
-// fork_map: run N opaque work units across forked workers
+// fork_map: run work units across forked workers
 // ---------------------------------------------------------------------------
 
 struct UnitResult {
@@ -76,42 +78,63 @@ struct UnitResult {
   // assigned to it; `text` is empty and the unit was not retried, so a
   // crash deterministically becomes that shard's outcome.
   bool ran = false;
-  bool from_spool = false;  // satisfied from spool_dir, not computed
   std::string text;
-  // Coordinator-side timing (seconds since fork_map entry) and the worker
-  // slot that computed the unit: observability only — never part of the
-  // deterministic merged result. Spool hits keep the zero defaults.
+  // Parent-side timing (seconds since fork_map entry) and the worker slot
+  // that computed the unit: observability only — never part of the
+  // deterministic merged result.
   double assigned_seconds = 0.0;
   double done_seconds = 0.0;
   int worker = -1;
 };
 
+// Work of one unit inside a worker: `payload` is the bytes the unit was
+// queued with, and `stop()` turns true once the parent asks this unit to
+// stop early (work stealing). Polling `stop` reads one word of shared
+// memory; it makes no syscall.
+using UnitWork = std::function<std::string(
+    std::size_t i, const std::string& payload,
+    const std::function<bool()>& stop)>;
+
+// The units of one fork_map call. Units may be appended while it runs —
+// from ForkMapOptions::on_result — and each carries its payload to
+// whichever worker runs it: a unit created after the fork exists only in
+// the parent's memory.
+class UnitQueue {
+ public:
+  UnitQueue() = default;
+  // `n` units with empty payloads.
+  explicit UnitQueue(std::size_t n) : payloads_(n) {}
+  // Appends a unit; returns its index.
+  std::size_t push(std::string payload) {
+    payloads_.push_back(std::move(payload));
+    return payloads_.size() - 1;
+  }
+  [[nodiscard]] std::size_t size() const { return payloads_.size(); }
+  // The payload of unit `i`; fork_map releases it once the unit is sent.
+  [[nodiscard]] std::string& payload(std::size_t i) { return payloads_[i]; }
+
+ private:
+  std::vector<std::string> payloads_;
+};
+
 struct ForkMapOptions {
   int jobs = 1;
-  // When set, each unit's result text is persisted to
-  // "<spool_dir>/unit-<i>.result" (atomic write), and results already
-  // spooled there are reused instead of recomputed — the spool directory
-  // doubles as the fallback channel on platforms without fork (units run
-  // sequentially in-process, results still land in the spool) and as a
-  // crude resume for interrupted parallel runs. The caller must create the
-  // directory.
-  std::string spool_dir;
-  // When set, a spooled result is only reused if this returns true;
-  // rejected entries are quarantined (renamed aside, like a torn file)
-  // and recomputed. Callers use it to reject payloads written by an
-  // older wire version — the CRC footer proves integrity, not schema.
-  std::function<bool(const std::string& text, std::string* why)>
-      accept_spooled;
   // Test hook: the worker assigned this unit raises SIGKILL instead of
-  // running it, exercising the coordinator's worker-crash containment.
+  // running it, exercising the parent's worker-crash containment.
   std::ptrdiff_t sigkill_on_unit = -1;
-  // Invoked in the coordinating process the moment a unit reaches its
-  // final state — computed by a worker, satisfied from the spool, run
-  // inline, or crashed (`ran == false`). Callers use this to journal
-  // outcomes write-ahead of the merge; the callback runs before fork_map
-  // returns the unit to anyone else, so an fsync inside it orders the
-  // durable record strictly before consumption.
-  std::function<void(std::size_t, const UnitResult&)> on_result;
+  // Invoked in the parent the moment a unit reaches its final state —
+  // computed by a worker, run inline, or crashed (`ran == false`). Callers
+  // journal outcomes here write-ahead of their merge, may move the text
+  // out (the returned vector then holds it empty), and may append units to
+  // the queue.
+  std::function<void(std::size_t, UnitResult&)> on_result;
+  // Work stealing: when a worker is idle and no unit is queued, the parent
+  // asks the running unit assigned longest ago for which this returns true
+  // to stop (its `stop()` turns true), once it has run 2 ms. Each unit is
+  // asked at most once, and one request is outstanding at a time. The
+  // request names the unit, so a worker that already moved on never sees
+  // it. Null = never.
+  std::function<bool(std::size_t)> preemptible;
 };
 
 // Runs `work(i)` for every i in [0, n) and returns results indexed by
@@ -124,6 +147,13 @@ struct ForkMapOptions {
 std::vector<UnitResult> fork_map(
     std::size_t n, const std::function<std::string(std::size_t)>& work,
     const ForkMapOptions& opts);
+
+// The same pool over a growable queue: runs every unit of `units`,
+// including those on_result appends, forking the workers once; it returns
+// when the queue is drained and no unit is running. Sequential runs
+// (jobs <= 1) never preempt.
+std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
+                                 const ForkMapOptions& opts);
 
 }  // namespace cds::mc
 

@@ -129,6 +129,27 @@ TEST(DistHarness, MergedStatsMatchSerialOnCleanBenchmarks) {
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
 }
 
+TEST(DistHarness, RfModeMergesBitIdenticalToSerialRf) {
+  // The explore mode rides the assignment: a worker that fell back to
+  // schedule mode on an rf plan merged 19,037 executions here instead of
+  // serial rf's 28,942.
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("mcs-lock");
+  ASSERT_NE(b, nullptr);
+  harness::RunOptions opts;
+  opts.engine.explore = mc::ExploreMode::kRf;
+  harness::RunResult serial = harness::run_benchmark(*b, opts);
+  dist::DistOptions d;
+  d.dist_workers = 4;
+  dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
+  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_FALSE(r.fell_back_local);
+  expect_dist_equals_serial(serial, r.merged);
+  EXPECT_EQ(r.merged.mc.rf_classes, serial.mc.rf_classes);
+  EXPECT_EQ(r.merged.mc.rf_infeasible, serial.mc.rf_infeasible);
+  EXPECT_GT(serial.mc.rf_infeasible, 0u);
+}
+
 TEST(DistHarness, FalsifiedMatchesSerialWithFirstWitness) {
   // Weaken the first injectable ticket-lock site: serial and distributed
   // runs must falsify with the same violation totals and first witness.

@@ -10,6 +10,7 @@
 #include "dist/net.h"
 #include "dist/protocol.h"
 #include "harness/shard_result.h"
+#include "mc/checkpoint.h"
 #include "mc/shard.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
@@ -165,6 +166,47 @@ TEST(DistAssignment, RoundTripsEveryField) {
   EXPECT_EQ(back.engine.seed, a.engine.seed);
   EXPECT_EQ(back.checker.max_histories, a.checker.max_histories);
   EXPECT_EQ(back.checker.seed, a.checker.seed);
+}
+
+TEST(DistAssignment, RoundTripsEveryTreeShapingConfigField) {
+  // Every mc::Config field that changes which executions a shard explores
+  // must reach the worker; a dropped one (v1 lost `explore`) makes the
+  // worker explore a different tree than the coordinator planned.
+  Assignment a = sample_assignment();
+  mc::Config& e = a.engine;
+  e.max_threads = 7;
+  e.stale_read_bound = 5;
+  e.max_steps = 1234;
+  e.enable_sleep_sets = false;
+  e.explore = mc::ExploreMode::kRf;
+  e.strengthen_to_sc = true;
+  e.sampling_only = true;
+  e.unsound_hook = mc::UnsoundHook::kSleepSetNeverWakes;
+  Assignment back;
+  std::string err;
+  ASSERT_TRUE(dist::parse_assignment(dist::render_assignment(a), &back, &err))
+      << err;
+  EXPECT_EQ(back.engine.max_threads, e.max_threads);
+  EXPECT_EQ(back.engine.stale_read_bound, e.stale_read_bound);
+  EXPECT_EQ(back.engine.max_steps, e.max_steps);
+  EXPECT_EQ(back.engine.enable_sleep_sets, e.enable_sleep_sets);
+  EXPECT_EQ(back.engine.explore, e.explore);
+  EXPECT_EQ(back.engine.strengthen_to_sc, e.strengthen_to_sc);
+  EXPECT_EQ(back.engine.sampling_only, e.sampling_only);
+  EXPECT_EQ(back.engine.unsound_hook, e.unsound_hook);
+  EXPECT_EQ(mc::render_config_fingerprint(back.engine),
+            mc::render_config_fingerprint(e));
+}
+
+TEST(DistAssignment, StaleV1PayloadIsRejected) {
+  std::string text = dist::render_assignment(sample_assignment());
+  text.replace(0, text.find('\n'), "shard-assign v1");
+  Assignment out;
+  out.bench = "untouched";
+  std::string err;
+  EXPECT_FALSE(dist::parse_assignment(text, &out, &err));
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_EQ(out.bench, "untouched");
 }
 
 TEST(DistAssignment, EveryTruncationIsRejectedWithALineDiagnostic) {

@@ -255,6 +255,63 @@ TEST(Engine, SleepSetsPruneRedundantInterleavings) {
       << "the two independent stores have exactly one behavior";
 }
 
+TEST(Engine, SleepSetsOrderSameLocationSeqCstLoads) {
+  // Each seq_cst load raises its location's SC read floor, so two seq_cst
+  // loads of one location do not commute. The outcome a=1, bx=1, by=0
+  // needs b's y-load before a's, after both of w's stores: with the two
+  // loads treated as independent, that order sat in a's sleep set and was
+  // pruned. Loads of different locations (b's x-load vs a's y-load) stay
+  // independent.
+  struct Out {
+    int a = -1, bx = -1, by = -1;
+  };
+  auto body = [](Out* o) {
+    return [o](Exec& x) {
+      auto* fx = x.make<Atomic<int>>(0, "x");
+      auto* fy = x.make<Atomic<int>>(0, "y");
+      int w = x.spawn([fx, fy] {
+        fy->store(1, MemoryOrder::relaxed);
+        fx->store(1, MemoryOrder::relaxed);
+      });
+      int a = x.spawn([o, fy] { o->a = fy->load(MemoryOrder::seq_cst); });
+      int b = x.spawn([o, fx, fy] {
+        o->bx = fx->load(MemoryOrder::relaxed);
+        o->by = fy->load(MemoryOrder::seq_cst);
+      });
+      x.join(w);
+      x.join(a);
+      x.join(b);
+    };
+  };
+  struct L : ExecutionListener {
+    Out* o = nullptr;
+    std::set<std::vector<int>> seen;
+    bool on_execution_complete(Engine&) override {
+      seen.insert({o->a, o->bx, o->by});
+      return true;
+    }
+  };
+  for (ExploreMode mode : {ExploreMode::kSchedule, ExploreMode::kRf}) {
+    SCOPED_TRACE(to_string(mode));
+    std::set<std::vector<int>> by_sleep[2];
+    for (bool sleep : {false, true}) {
+      Out o;
+      L l;
+      l.o = &o;
+      Config cfg;
+      cfg.explore = mode;
+      cfg.enable_sleep_sets = sleep;
+      Engine e(cfg);
+      e.set_listener(&l);
+      ASSERT_TRUE(e.explore(body(&o)).exhausted);
+      by_sleep[sleep ? 1 : 0] = l.seen;
+    }
+    EXPECT_TRUE(by_sleep[0].count({1, 1, 0}));
+    EXPECT_EQ(by_sleep[1], by_sleep[0])
+        << "sleep sets must not prune the b-before-a seq_cst load order";
+  }
+}
+
 TEST(Engine, UnsignedAtomicWraparound) {
   Engine e;
   e.explore([](Exec& x) {

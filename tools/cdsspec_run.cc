@@ -376,6 +376,10 @@ void print_result_json(const std::string& benchmark,
                 static_cast<unsigned long long>(par->crashed_shards));
     std::printf("    \"probe_executions\": %llu,\n",
                 static_cast<unsigned long long>(par->probe_executions));
+    std::printf("    \"steals\": %llu,\n",
+                static_cast<unsigned long long>(par->steals));
+    std::printf("    \"minted\": %llu,\n",
+                static_cast<unsigned long long>(par->minted));
     std::printf("    \"epoch\": %llu,\n",
                 static_cast<unsigned long long>(par->epoch));
     std::printf("    \"resumed\": %s,\n", bstr(par->resumed));
@@ -1182,9 +1186,11 @@ int main(int argc, char** argv) {
       }
     }
     if (parallel) {
-      std::printf("parallel: jobs=%d shards=%llu crashed=%llu "
-                  "probe-executions=%llu\n",
+      std::printf("parallel: jobs=%d shards=%llu (%llu minted by %llu "
+                  "steals) crashed=%llu probe-executions=%llu\n",
                   par.jobs, static_cast<unsigned long long>(par.shards),
+                  static_cast<unsigned long long>(par.minted),
+                  static_cast<unsigned long long>(par.steals),
                   static_cast<unsigned long long>(par.crashed_shards),
                   static_cast<unsigned long long>(par.probe_executions));
       if (par.epoch != 0) {
