@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "mc/checkpoint.h"
 #include "mc/trace.h"
 #include "support/io.h"
 
@@ -23,7 +22,7 @@ namespace cds::dist {
 
 namespace {
 
-constexpr const char* kMagic = "cdsspec-journal v1";
+constexpr const char* kMagic = "cdsspec-journal v2";
 
 std::string with_crc(std::string body) {
   char suffix[16];
@@ -42,11 +41,10 @@ std::string render_journal_record(const JournalRecord& r) {
   char hex[40];
   switch (r.kind) {
     case JournalRecord::Kind::kRun:
-      std::snprintf(hex, sizeof hex, "%08" PRIx32 " fingerprint=%08" PRIx32,
-                    r.plan_hash, r.fingerprint);
+      std::snprintf(hex, sizeof hex, "%08" PRIx32, r.plan_hash);
       body = "run epoch=" + std::to_string(r.epoch) +
              " shards=" + std::to_string(r.shards) + " planhash=" + hex +
-             " bench=" + escape_line(r.bench);
+             " config=" + r.fingerprint + " bench=" + escape_line(r.bench);
       break;
     case JournalRecord::Kind::kLease:
       body = "lease shard=" + std::to_string(r.shard) +
@@ -101,21 +99,25 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
 
   JournalRecord r;
   unsigned long long a = 0, b = 0;
-  unsigned h1 = 0, h2 = 0;
+  unsigned h1 = 0;
   int pos = -1;
   const char* s = body.c_str();
   const int len = static_cast<int>(body.size());
-  if (std::sscanf(s,
-                  "run epoch=%llu shards=%llu planhash=%8x fingerprint=%8x "
-                  "bench=%n",
-                  &a, &b, &h1, &h2, &pos) == 4 &&
+  if (std::sscanf(s, "run epoch=%llu shards=%llu planhash=%8x config=%n", &a,
+                  &b, &h1, &pos) == 3 &&
       pos > 0) {
     r.kind = JournalRecord::Kind::kRun;
     r.epoch = a;
     r.shards = b;
     r.plan_hash = h1;
-    r.fingerprint = h2;
-    r.bench = harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
+    const auto at = static_cast<std::size_t>(pos);
+    const std::size_t sp = body.find(' ', at);
+    if (sp == std::string::npos || sp == at ||
+        body.compare(sp, 7, " bench=") != 0) {
+      return fail("run record without config and bench");
+    }
+    r.fingerprint = body.substr(at, sp - at);
+    r.bench = harness::unescape_line(body.substr(sp + 7));
     if (r.bench.empty()) return fail("run record with empty bench");
   } else if (std::sscanf(s, "lease shard=%llu attempt=%llu%n", &a, &b, &pos) ==
                  2 &&
@@ -170,8 +172,21 @@ std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units) {
   return support::crc32(s);
 }
 
-std::uint32_t journal_config_fingerprint(const mc::Config& engine) {
-  return support::crc32(mc::render_config_fingerprint(engine));
+std::string journal_fingerprint_mismatch(const std::string& journal,
+                                         const std::string& run) {
+  if (journal == run) return "";
+  // Fields are comma-separated "key=value" tokens in a fixed order.
+  std::size_t j = 0, r = 0;
+  while (j < journal.size() && r < run.size()) {
+    const std::size_t je = std::min(journal.find(',', j), journal.size());
+    const std::size_t re = std::min(run.find(',', r), run.size());
+    const std::string jt = journal.substr(j, je - j);
+    const std::string rt = run.substr(r, re - r);
+    if (jt != rt) return jt + " in the journal, " + rt + " in this run";
+    j = je + 1;
+    r = re + 1;
+  }
+  return "'" + journal + "' in the journal, '" + run + "' in this run";
 }
 
 bool load_journal(const std::string& path, JournalReplay* out,

@@ -15,13 +15,18 @@
 // Format (line-oriented; one record per line; `<esc>` = harness
 // escape_line, so multi-line payloads ride on a single line):
 //
-//   cdsspec-journal v1
-//   run epoch=<e> shards=<n> planhash=<8hex> fingerprint=<8hex> bench=<esc> #crc=<8hex>
+//   cdsspec-journal v2
+//   run epoch=<e> shards=<n> planhash=<8hex> config=<fingerprint> bench=<esc> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
-//   result shard=<i> attempt=<id> payload=<esc shard-result v3 text> #crc=<8hex>
+//   result shard=<i> attempt=<id> payload=<esc shard-result v4 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
 //   failed shard=<i> attempt=<id> reason=<esc> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
+//
+// v2: the run record carries the config fingerprint as text
+// (mc::render_config_fingerprint, which since v2 includes the budgets), so
+// a refused resume can name the flag that differs. A v1 journal fails the
+// magic check and is set aside like any damaged header.
 //
 // Every record carries a CRC-32 of its own body; a torn or corrupted
 // tail (power loss mid-append, bit rot) is detected on load, set aside
@@ -51,9 +56,9 @@ struct JournalRecord {
 
   // kRun: one per coordinator incarnation.
   std::uint64_t epoch = 0;
-  std::uint64_t shards = 0;       // planned shard count
-  std::uint32_t plan_hash = 0;    // journal_plan_hash of the planned units
-  std::uint32_t fingerprint = 0;  // crc32(mc::render_config_fingerprint)
+  std::uint64_t shards = 0;     // planned shard count
+  std::uint32_t plan_hash = 0;  // journal_plan_hash of the planned units
+  std::string fingerprint;      // mc::render_config_fingerprint (no spaces)
   std::string bench;
 
   // kLease / kResult / kFailed (kMint: `shard` is the preempted parent).
@@ -61,7 +66,7 @@ struct JournalRecord {
   std::uint64_t attempt = 0;  // 0 = local fork-pool path (no lease)
   std::uint64_t count = 0;    // kMint: sub-shards appended
 
-  // kResult: the raw shard-result v3 text exactly as the worker sent it
+  // kResult: the raw shard-result v4 text exactly as the worker sent it
   // (pre-normalization, so replay re-mints preempted shards' sub-shards
   // from the journaled frontier). kFailed: the failure reason.
   std::string payload;
@@ -81,9 +86,10 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
 // land on the identical partition before any journaled result is trusted.
 std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units);
 
-// Digest of the exploration-shaping config (mc::render_config_fingerprint
-// checksummed), pairing with the plan hash in the run header.
-std::uint32_t journal_config_fingerprint(const mc::Config& engine);
+// "" when two config fingerprints agree; otherwise the first field that
+// differs, e.g. "cap=20000 in the journal, cap=10000 in this run".
+std::string journal_fingerprint_mismatch(const std::string& journal,
+                                         const std::string& run);
 
 struct JournalReplay {
   bool found = false;  // file existed with a valid magic header

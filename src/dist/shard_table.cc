@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mc/shard.h"
+#include "mc/trace.h"
 #include "support/rng.h"
 
 namespace cds::dist {
@@ -74,7 +75,7 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
   planned.reserve(planned_);
   for (std::size_t i = 0; i < planned_; ++i) planned.push_back(shards_[i].unit);
   const std::uint32_t plan_hash = journal_plan_hash(planned);
-  const std::uint32_t fp = journal_config_fingerprint(opts_.engine);
+  const std::string fp = mc::render_config_fingerprint(opts_.engine);
   epoch_ = 1;
   if (resume) {
     JournalReplay rep;
@@ -100,8 +101,12 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
             "journal '" + path + "' records a different " +
             (hdr->bench != b_.name
                  ? "benchmark ('" + hdr->bench + "')"
-                 : hdr->fingerprint != fp ? std::string("config fingerprint")
-                                          : std::string("shard plan")) +
+                 : hdr->fingerprint != fp
+                       ? "config (" +
+                             journal_fingerprint_mismatch(hdr->fingerprint,
+                                                          fp) +
+                             ")"
+                       : std::string("shard plan")) +
             "; refusing to merge incompatible shards (delete the journal or "
             "rerun with the original parameters)";
         return false;
@@ -227,21 +232,6 @@ void ShardTable::fail(std::size_t sidx, std::uint64_t attempt,
   shards_[sidx].state = State::kFailed;
 }
 
-void ShardTable::fold(harness::RunResult& into, const mc::ExplorationStats& mc,
-                      const spec::SpecChecker::Stats& spec,
-                      const obs::Registry& metrics) {
-  mc::merge_shard_stats(into.mc, mc);
-  spec::SpecChecker::Stats& sp = into.spec;
-  sp.executions_checked += spec.executions_checked;
-  sp.inadmissible_execs += spec.inadmissible_execs;
-  sp.assertion_violation_execs += spec.assertion_violation_execs;
-  sp.histories_checked += spec.histories_checked;
-  sp.justification_checks += spec.justification_checks;
-  sp.history_cap_hit |= spec.history_cap_hit;
-  sp.r_cycle_seen |= spec.r_cycle_seen;
-  into.metrics.merge(metrics);
-}
-
 void ShardTable::fold_test(std::size_t test, const mc::ExplorationStats& mc) {
   TestFold& t = tests_[test];
   t.exhausted = t.exhausted && mc.exhausted;
@@ -286,12 +276,12 @@ std::size_t ShardTable::apply(std::size_t sidx, harness::ShardResult sr) {
   sh.reports = std::move(sr.reports);
   const auto held = sh.whole ? held_.end() : held_.find(root);
   if (held == held_.end()) {
-    fold(total_, sr.stats, sr.spec, sr.metrics);
+    harness::fold_counters(total_, sr.stats, sr.spec, sr.metrics);
     fold_test(sh.unit.test_index, sr.stats);
     return appended;
   }
   harness::RunResult& h = held->second;
-  fold(h, sr.stats, sr.spec, sr.metrics);
+  harness::fold_counters(h, sr.stats, sr.spec, sr.metrics);
   if (!h.mc.hit_execution_cap && h.mc.executions < cap) return appended;
   // The pieces reach the cap. The undisturbed planned shard stops at its
   // cap-th execution (reporting the cap hit even if that one was its
@@ -314,15 +304,16 @@ std::size_t ShardTable::apply(std::size_t sidx, harness::ShardResult sr) {
 
 harness::RunResult ShardTable::finish() {
   for (const auto& [root, h] : held_) {
-    fold(total_, h.mc, h.spec, h.metrics);
+    harness::fold_counters(total_, h.mc, h.spec, h.metrics);
     fold_test(shards_[root].unit.test_index, h.mc);
   }
   held_.clear();
   harness::RunResult total = std::move(total_);
   for (std::size_t i = 0; i < tests_.size(); ++i) {
     // Serial DFS order: a preempted parent's prefix is a proper prefix of
-    // its sub-shards' and sorts first, so the first violations and the
-    // record cap come out exactly as in an undisturbed serial run.
+    // its sub-shards' and sorts first, so the first violations and reports
+    // and the caps on both come out exactly as in an undisturbed serial
+    // run, where one engine and one checker see the whole unit test.
     std::vector<std::size_t> order;
     for (std::size_t sidx = 0; sidx < shards_.size(); ++sidx) {
       if (shards_[sidx].unit.test_index == i) order.push_back(sidx);
@@ -334,6 +325,7 @@ harness::RunResult ShardTable::finish() {
                      });
     std::uint64_t unfinished = 0;
     std::uint64_t recorded = 0;
+    std::uint64_t reported = 0;
     for (std::size_t sidx : order) {
       Shard& s = shards_[sidx];
       if (s.state == State::kDropped) continue;
@@ -349,7 +341,11 @@ harness::RunResult ShardTable::finish() {
         total.violations.push_back(std::move(v));
         ++recorded;
       }
-      for (std::string& rep : s.reports) total.reports.push_back(std::move(rep));
+      for (std::string& rep : s.reports) {
+        if (reported >= opts_.checker.max_reports) break;
+        total.reports.push_back(std::move(rep));
+        ++reported;
+      }
     }
     const TestFold& t = tests_[i];
     const bool exhausted = t.exhausted && unfinished == 0;

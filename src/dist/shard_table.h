@@ -100,6 +100,10 @@ class ShardTable {
                     const CoordinatorChaos& chaos, std::string* resume_error);
   // Non-fatal append: a failing disk degrades the run to non-durable.
   void journal(const JournalRecord& r);
+  // Whether results are still being journaled.
+  [[nodiscard]] bool journaling() const {
+    return journal_.is_open() && !journal_broken_;
+  }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] bool resumed() const { return resumed_; }
   [[nodiscard]] std::uint64_t replayed() const { return replayed_; }
@@ -124,10 +128,14 @@ class ShardTable {
   void fail(std::size_t sidx, std::uint64_t attempt, const std::string& why,
             bool journaled);
 
+  // Wall time of the results folded so far, replayed ones included.
+  [[nodiscard]] double seconds() const { return total_.mc.seconds; }
+
   // The merged result: folded counters, per-test verdicts, and violations
-  // and reports in serial DFS order under the per-test record cap. Ends
-  // the journal with its done record. Call once, after the run; a shard
-  // still pending or running counts as unexplored.
+  // and reports in serial DFS order under the per-test caps
+  // (max_recorded_violations, the checker's max_reports). Ends the
+  // journal with its done record. Call once, after the run; a shard still
+  // pending or running counts as unexplored.
   harness::RunResult finish();
 
  private:
@@ -143,10 +151,7 @@ class ShardTable {
   };
 
   std::size_t apply(std::size_t sidx, harness::ShardResult sr);
-  // Adds counters to `into`, and a shard's outcome to its unit test's.
-  static void fold(harness::RunResult& into, const mc::ExplorationStats& mc,
-                   const spec::SpecChecker::Stats& spec,
-                   const obs::Registry& metrics);
+  // Adds a shard's outcome to its unit test's.
   void fold_test(std::size_t test, const mc::ExplorationStats& mc);
 
   const harness::Benchmark& b_;

@@ -1,7 +1,6 @@
 #include "harness/parallel.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -10,86 +9,13 @@
 #include "dist/shard_table.h"
 #include "harness/shard_result.h"
 #include "mc/shard.h"
-#include "support/io.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
-#include <sys/types.h>
-#endif
 
 namespace cds::harness {
-
-namespace {
-
-bool ensure_dir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  if (mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) return true;
-  return false;
-#else
-  (void)path;
-  return false;
-#endif
-}
-
-// A spooled result is reused only if it parses as a complete result;
-// anything else — torn, bit-rotted, an older wire version — is set aside
-// as "<path>.quarantined" and the shard recomputes.
-bool reuse_spooled(const dist::ShardTable& table, std::size_t sidx,
-                   const std::string& path, std::string* text,
-                   ShardResult* sr) {
-  std::string err;
-  bool quarantined = false;
-  if (!support::read_spool_file(path, text, &err, &quarantined)) {
-    if (quarantined) {
-      std::fprintf(stderr, "cds::harness: corrupt spool entry %s\n",
-                   err.c_str());
-    }
-    return false;
-  }
-  std::string why;
-  if (!table.parse(sidx, *text, sr, &why) || sr->stats.preempted) {
-    if (why.empty()) why = "preempted partial result in spool";
-    std::fprintf(stderr,
-                 "cds::harness: rejecting spool entry %s (%s); quarantined\n",
-                 path.c_str(), why.c_str());
-    (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
                       const RunOptions& opts, const ParallelOptions& par,
                       ParallelRunResult* pr) {
   const std::size_t planned = table.planned();
-
-  // Spool keys of this incarnation's pending planned shards. The numbering
-  // shifts as resumed runs shrink the pending list, so each journal epoch
-  // gets its own subdirectory and stale keys cannot mismatch.
-  std::vector<std::string> spool_path(planned);
-  if (!par.spool_dir.empty()) {
-    if (!ensure_dir(par.spool_dir)) {
-      std::fprintf(stderr,
-                   "cds::harness: cannot create spool dir '%s'; spooling off\n",
-                   par.spool_dir.c_str());
-    } else {
-      std::vector<std::size_t> next_key(b.tests.size(), 0);
-      for (std::size_t sidx = 0; sidx < planned; ++sidx) {
-        if (!table.pending(sidx)) continue;
-        const std::size_t test = table.unit(sidx).test_index;
-        std::string dir = par.spool_dir + "/t" + std::to_string(test);
-        if (table.epoch() != 0) dir += ".e" + std::to_string(table.epoch());
-        if (!ensure_dir(dir)) continue;
-        spool_path[sidx] =
-            dir + "/unit-" + std::to_string(next_key[test]++) + ".result";
-      }
-    }
-  }
-  auto spooled = [&](std::size_t sidx) {
-    return sidx < planned && !spool_path[sidx].empty();
-  };
 
   // One pool unit per shard; a minted shard exists only in this process,
   // so every unit carries its ShardUnit as the payload.
@@ -100,16 +26,7 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
     units.push(render_shard_unit(table.unit(sidx)));
   };
   for (std::size_t sidx = 0; sidx < table.size(); ++sidx) {
-    if (!table.pending(sidx)) continue;
-    std::string text;
-    ShardResult sr;
-    if (spooled(sidx) &&
-        reuse_spooled(table, sidx, spool_path[sidx], &text, &sr)) {
-      table.accept(sidx, 0, text, std::move(sr));
-      ++pr->spooled_shards;
-      continue;
-    }
-    enqueue(sidx);
+    if (table.pending(sidx)) enqueue(sidx);
   }
 
   mc::ForkMapOptions fm;
@@ -124,11 +41,15 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
   }
   // A run under a time or memory budget never splits (see
   // ShardTable::splittable): without a predicate the pool never asks a
-  // unit to stop.
-  if (table.splittable()) {
+  // unit to stop. A one-job pool runs its units in order and splits only
+  // to journal its progress (see run_benchmark_parallel), never under a
+  // cap, whose split pieces would re-run whole.
+  const bool serial = fm.jobs <= 1;
+  if (table.splittable() &&
+      (!serial ||
+       (table.journaling() && opts.engine.max_executions == 0))) {
     fm.preemptible = [&](std::size_t u) {
-      const std::size_t sidx = shard_of[u];
-      return !spooled(sidx) && table.splittable(sidx);
+      return table.splittable(shard_of[u]);
     };
   }
   fm.on_result = [&](std::size_t u, mc::UnitResult& ur) {
@@ -163,13 +84,6 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
       return;
     }
     if (sr.stats.preempted) ++pr->steals;
-    if (spooled(sidx)) {
-      std::string err;
-      if (!support::write_spool_file(spool_path[sidx], ur.text, &err)) {
-        std::fprintf(stderr, "cds::harness: spool write failed: %s\n",
-                     err.c_str());
-      }
-    }
     const std::size_t first = table.size();
     const std::size_t appended = table.accept(sidx, 0, ur.text, std::move(sr));
     std::string().swap(ur.text);  // folded; the merge needs no copy
@@ -192,7 +106,16 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
     if (!parse_shard_unit(split_lines(payload), &at, &unit, &why)) {
       return std::string();
     }
-    return run_shard_unit(b, opts, unit, stop);
+    if (!serial || opts.engine.time_budget_seconds <= 0.0) {
+      return run_shard_unit(b, opts, unit, stop);
+    }
+    // Run in order, in this process: the time budget covers the whole
+    // benchmark as in run_benchmark, each unit getting what the results
+    // so far (replayed ones included) left over.
+    RunOptions left = opts;
+    left.engine.time_budget_seconds =
+        std::max(0.001, opts.engine.time_budget_seconds - table.seconds());
+    return run_shard_unit(b, left, unit, stop);
   };
   (void)mc::fork_map(units, work, fm);
 }
@@ -232,7 +155,6 @@ ParallelRunResult run_benchmark_parallel(const Benchmark& b,
   M.gauge("parallel.jobs").set(static_cast<std::uint64_t>(pr.jobs));
   M.gauge("parallel.shards").set(pr.shards);
   M.gauge("parallel.crashed_shards").set(pr.crashed_shards);
-  M.gauge("parallel.spooled_shards").set(pr.spooled_shards);
   M.gauge("parallel.probe_executions").set(pr.probe_executions);
   M.gauge("parallel.steals").set(pr.steals);
   M.gauge("parallel.minted").set(pr.minted);

@@ -19,6 +19,16 @@
 // or memory budget never split a shard; under an execution cap a split
 // shard whose pieces reach the cap re-runs whole (see the table).
 //
+// A one-job pool runs its shards in order in this process. It is what a
+// serial `--checkpoint FILE` run is: one planned shard per unit test
+// (max_shards 1), with the write-ahead journal as its only durable
+// record. The time budget then covers the whole benchmark, as in
+// run_benchmark, and a shard that runs long is preempted after a fixed
+// interval (mc/shard.cc) so the journal holds its partial result and the
+// table mints its remainder. It never splits under a budget, the
+// watchdog, stop-at-first-violation or an execution cap; its durable unit
+// is then the unit test. Without a journal it never splits at all.
+//
 // A worker-process death (crash, OOM-kill, SIGKILL) is contained as that
 // shard's outcome — the shard is recorded crashed, never retried, and the
 // remaining workers keep draining the queue.
@@ -52,12 +62,6 @@ struct ParallelOptions {
   int shard_depth = 2;
   // Cap on planned shards per unit test; 0 = jobs * 4.
   std::size_t max_shards = 0;
-  // Result cache: each planned shard's result is kept in
-  // "<spool_dir>/t<test>[.e<epoch>]/unit-<k>.result" (k counts the test's
-  // shards still pending in this incarnation) and reused by a rerun. A
-  // spool pins the plan: spooled shards run whole and are never preempted,
-  // and minted shards are never spooled. Empty = no spooling.
-  std::string spool_dir;
   // Test hook: SIGKILL the worker assigned planned shard number
   // `sigkill_shard` of the first unit test that has it pending (use
   // single-test benchmarks in containment tests).
@@ -92,7 +96,6 @@ struct ParallelRunResult {
   int jobs = 1;
   std::uint64_t shards = 0;          // planned + minted work units
   std::uint64_t crashed_shards = 0;  // worker died / result unparseable
-  std::uint64_t spooled_shards = 0;  // satisfied from the spool directory
   std::uint64_t probe_executions = 0;
   std::uint64_t steals = 0;  // shards preempted for idle workers
   std::uint64_t minted = 0;  // split from frontiers, or capped re-runs
@@ -107,14 +110,14 @@ struct ParallelRunResult {
   std::string resume_error;
 };
 
-// Parallel analog of run_benchmark(). The serial checkpoint options in
-// `opts` are ignored; sharded runs checkpoint through the write-ahead
-// journal (`ParallelOptions::journal_path`/`resume`) instead, replaying
-// completed shards to a bit-identical verdict and counter set. The
-// engine budgets, if any, apply per planned shard rather than across the
-// whole benchmark: a time-cut run takes at most about ceil(shards / jobs)
-// budgets of wall time, and a capped run merges the counters of the
-// unsplit plan.
+// Parallel analog of run_benchmark(). A run checkpoints through the
+// write-ahead journal (`ParallelOptions::journal_path`/`resume`),
+// replaying completed shards to a bit-identical verdict and counter set.
+// With more than one job the engine budgets, if any, apply per planned
+// shard rather than across the whole benchmark: a time-cut run takes at
+// most about ceil(shards / jobs) budgets of wall time, and a capped run
+// merges the counters of the unsplit plan. A one-job run keeps
+// run_benchmark's budgets (see above).
 ParallelRunResult run_benchmark_parallel(const Benchmark& b,
                                          const RunOptions& opts,
                                          const ParallelOptions& par);
@@ -122,9 +125,9 @@ ParallelRunResult run_benchmark_parallel(const Benchmark& b,
 // Runs every pending shard of `table` on one pool of `par.jobs` forked
 // workers that steal as described above, feeding each result into the
 // table as it arrives (journaled first when the table journals). Uses
-// `par`'s jobs, spool and kill hook, and adds the pool's facts (spans,
-// steals, spool hits) to *pr. run_benchmark_parallel and the socket
-// coordinator's local fallback both run shards this way.
+// `par`'s jobs and kill hook, and adds the pool's facts (spans, steals)
+// to *pr. run_benchmark_parallel and the socket coordinator's local
+// fallback both run shards this way.
 void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
                       const RunOptions& opts, const ParallelOptions& par,
                       ParallelRunResult* pr);

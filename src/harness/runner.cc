@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 
 #include "support/rng.h"
@@ -40,14 +39,6 @@ Detection classify(const RunResult& r) {
   return Detection::kNone;
 }
 
-// Merge `v` into `into`, keeping the weaker claim.
-void weaken(mc::Verdict& into, mc::Verdict v) {
-  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
-    into = mc::Verdict::kFalsified;
-  } else if (v == mc::Verdict::kInconclusive) {
-    into = mc::Verdict::kInconclusive;
-  }
-}
 }  // namespace
 
 bool RunResult::detected_builtin() const {
@@ -71,12 +62,7 @@ RunResult run_with_spec(const mc::TestFn& test, const RunOptions& opts) {
   mc::Engine engine(opts.engine);
   spec::SpecChecker checker(opts.checker);
   checker.attach(engine);
-  engine.set_checkpoint_base(opts.checkpoint_base);
   if (!opts.subtree.empty()) engine.set_subtree(opts.subtree);
-  if (opts.resume != nullptr) {
-    checker.restore_from_checkpoint(*opts.resume);
-    engine.set_resume(*opts.resume);
-  }
   RunResult r;
   r.mc = engine.explore(test);
   r.spec = checker.stats();
@@ -87,6 +73,29 @@ RunResult run_with_spec(const mc::TestFn& test, const RunOptions& opts) {
   r.verdict = r.mc.verdict;
   checker.detach();
   return r;
+}
+
+void fold_counters(RunResult& into, const mc::ExplorationStats& mc,
+                   const spec::SpecChecker::Stats& spec,
+                   const obs::Registry& metrics) {
+  mc::merge_shard_stats(into.mc, mc);
+  spec::SpecChecker::Stats& sp = into.spec;
+  sp.executions_checked += spec.executions_checked;
+  sp.inadmissible_execs += spec.inadmissible_execs;
+  sp.assertion_violation_execs += spec.assertion_violation_execs;
+  sp.histories_checked += spec.histories_checked;
+  sp.justification_checks += spec.justification_checks;
+  sp.history_cap_hit |= spec.history_cap_hit;
+  sp.r_cycle_seen |= spec.r_cycle_seen;
+  into.metrics.merge(metrics);
+}
+
+void weaken_verdict(mc::Verdict& into, mc::Verdict v) {
+  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
+    into = mc::Verdict::kFalsified;
+  } else if (v == mc::Verdict::kInconclusive) {
+    into = mc::Verdict::kInconclusive;
+  }
 }
 
 void register_benchmark(Benchmark b) {
@@ -105,211 +114,29 @@ const Benchmark* find_benchmark(const std::string& name) {
   return nullptr;
 }
 
-namespace {
-
-// Prior-test accumulations ride inside checkpoints as opaque "prior.*"
-// extras (the engine round-trips them without interpretation), so a
-// kill+resume mid-benchmark restores the totals of every finished test.
-void encode_prior(const RunResult& total, mc::Checkpoint* cp) {
-  auto set = [&](const char* k, std::uint64_t v) {
-    cp->set_extra(std::string("prior.") + k, v);
-  };
-  set("present", 1);
-  set("executions", total.mc.executions);
-  set("feasible", total.mc.feasible);
-  set("pruned_bound", total.mc.pruned_bound);
-  set("pruned_livelock", total.mc.pruned_livelock);
-  set("pruned_redundant", total.mc.pruned_redundant);
-  set("builtin", total.mc.builtin_violation_execs);
-  set("fatal", total.mc.engine_fatal_execs);
-  set("crash", total.mc.crash_execs);
-  set("sampled", total.mc.sampled);
-  set("violations_total", total.mc.violations_total);
-  set("rf_classes", total.mc.rf_classes);
-  set("rf_infeasible", total.mc.rf_infeasible);
-  set("seconds_ms", static_cast<std::uint64_t>(total.mc.seconds * 1000.0));
-  set("max_depth", total.mc.max_trail_depth);
-  set("cap", total.mc.hit_execution_cap ? 1 : 0);
-  set("time", total.mc.hit_time_budget ? 1 : 0);
-  set("mem", total.mc.hit_memory_budget ? 1 : 0);
-  set("watchdog", total.mc.watchdog_fired ? 1 : 0);
-  set("stopped", total.mc.stopped_early ? 1 : 0);
-  set("exhausted", total.mc.exhausted ? 1 : 0);
-  set("verdict", static_cast<std::uint64_t>(total.verdict));
-  set("spec.executions_checked", total.spec.executions_checked);
-  set("spec.inadmissible", total.spec.inadmissible_execs);
-  set("spec.assertions", total.spec.assertion_violation_execs);
-  set("spec.histories", total.spec.histories_checked);
-  set("spec.justifications", total.spec.justification_checks);
-  set("spec.cap_hit", total.spec.history_cap_hit ? 1 : 0);
-  set("spec.r_cycle", total.spec.r_cycle_seen ? 1 : 0);
-}
-
-bool decode_prior(const mc::Checkpoint& cp, RunResult* total) {
-  auto get = [&](const char* k) {
-    return cp.extra_value(std::string("prior.") + k);
-  };
-  if (get("present") == 0) return false;
-  total->mc.executions = get("executions");
-  total->mc.feasible = get("feasible");
-  total->mc.pruned_bound = get("pruned_bound");
-  total->mc.pruned_livelock = get("pruned_livelock");
-  total->mc.pruned_redundant = get("pruned_redundant");
-  total->mc.builtin_violation_execs = get("builtin");
-  total->mc.engine_fatal_execs = get("fatal");
-  total->mc.crash_execs = get("crash");
-  total->mc.sampled = get("sampled");
-  total->mc.violations_total = get("violations_total");
-  total->mc.rf_classes = get("rf_classes");
-  total->mc.rf_infeasible = get("rf_infeasible");
-  total->mc.seconds = static_cast<double>(get("seconds_ms")) / 1000.0;
-  total->mc.max_trail_depth = get("max_depth");
-  total->mc.hit_execution_cap = get("cap") != 0;
-  total->mc.hit_time_budget = get("time") != 0;
-  total->mc.hit_memory_budget = get("mem") != 0;
-  total->mc.watchdog_fired = get("watchdog") != 0;
-  total->mc.stopped_early = get("stopped") != 0;
-  total->mc.exhausted = get("exhausted") != 0;
-  total->verdict = static_cast<mc::Verdict>(get("verdict"));
-  total->spec.executions_checked = get("spec.executions_checked");
-  total->spec.inadmissible_execs = get("spec.inadmissible");
-  total->spec.assertion_violation_execs = get("spec.assertions");
-  total->spec.histories_checked = get("spec.histories");
-  total->spec.justification_checks = get("spec.justifications");
-  total->spec.history_cap_hit = get("spec.cap_hit") != 0;
-  total->spec.r_cycle_seen = get("spec.r_cycle") != 0;
-  return true;
-}
-
-std::vector<mc::Violation> strip_trails(const std::vector<mc::Violation>& vs) {
-  std::vector<mc::Violation> out = vs;
-  for (mc::Violation& v : out) v.trail.clear();
-  return out;
-}
-
-}  // namespace
-
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
   RunResult total;
   total.mc.seed = opts.engine.seed;
   total.mc.exhausted = true;  // weakened below if any test falls short
-  const bool checkpointing = !opts.engine.checkpoint_path.empty();
-
-  // Resume: fast-forward over already-finished tests using the totals
-  // persisted in the checkpoint's "prior.*" extras, then hand the
-  // interrupted test's state to the engine. A checkpoint that does not
-  // belong to this benchmark is ignored (fresh run) rather than trusted.
-  const mc::Checkpoint* resume_cp = opts.resume;
-  std::size_t first_test = 0;
-  if (resume_cp != nullptr) {
-    const std::string want_prefix = b.name + "#";
-    if (resume_cp->test_name.rfind(want_prefix, 0) != 0 ||
-        resume_cp->test_index >= b.tests.size()) {
-      std::fprintf(stderr,
-                   "cds::harness: checkpoint is for '%s', not benchmark '%s'; "
-                   "starting fresh\n",
-                   resume_cp->test_name.c_str(), b.name.c_str());
-      resume_cp = nullptr;
-    } else {
-      first_test = resume_cp->test_index;
-      decode_prior(*resume_cp, &total);
-      total.mc.seed = opts.engine.seed;
-      for (const mc::Violation& v : resume_cp->violations) {
-        if (v.test_index < first_test) total.violations.push_back(v);
-      }
-    }
-  }
 
   // The time budget covers the whole benchmark: each test gets what the
   // previous ones left over. Once it is gone, the remaining tests run with
   // an epsilon budget so they still report (inconclusive) instead of
   // exploring unbounded.
-  double remaining = opts.engine.time_budget_seconds - total.mc.seconds;
-  for (std::size_t i = first_test; i < b.tests.size(); ++i) {
+  double remaining = opts.engine.time_budget_seconds;
+  for (std::size_t i = 0; i < b.tests.size(); ++i) {
     RunOptions per_test = opts;
-    per_test.resume = nullptr;
     per_test.engine.test_name = b.name + "#" + std::to_string(i);
     per_test.engine.test_index = static_cast<std::uint32_t>(i);
     if (opts.engine.time_budget_seconds > 0.0) {
       per_test.engine.time_budget_seconds = remaining > 0.001 ? remaining : 0.001;
     }
-    // The engine carries the prior tests' totals and violation records
-    // into every checkpoint it writes mid-test.
-    if (checkpointing) {
-      per_test.checkpoint_base = mc::Checkpoint{};
-      encode_prior(total, &per_test.checkpoint_base);
-      per_test.checkpoint_base.violations = strip_trails(total.violations);
-    }
-    mc::Checkpoint engine_resume;
-    if (resume_cp != nullptr && i == first_test &&
-        resume_cp->phase != mc::Checkpoint::Phase::kStart) {
-      engine_resume = *resume_cp;
-      engine_resume.violations.clear();
-      for (const mc::Violation& v : resume_cp->violations) {
-        if (v.test_index == i) engine_resume.violations.push_back(v);
-      }
-      per_test.resume = &engine_resume;
-    }
     RunResult r = run_with_spec(b.tests[i], per_test);
     remaining -= r.mc.seconds;
-    total.mc.executions += r.mc.executions;
-    total.mc.feasible += r.mc.feasible;
-    total.mc.pruned_bound += r.mc.pruned_bound;
-    total.mc.pruned_livelock += r.mc.pruned_livelock;
-    total.mc.pruned_redundant += r.mc.pruned_redundant;
-    total.mc.builtin_violation_execs += r.mc.builtin_violation_execs;
-    total.mc.engine_fatal_execs += r.mc.engine_fatal_execs;
-    total.mc.crash_execs += r.mc.crash_execs;
-    total.mc.sampled += r.mc.sampled;
-    total.mc.violations_total += r.mc.violations_total;
-    total.mc.rf_classes += r.mc.rf_classes;
-    total.mc.rf_infeasible += r.mc.rf_infeasible;
-    total.mc.seconds += r.mc.seconds;
-    total.mc.hit_execution_cap |= r.mc.hit_execution_cap;
-    total.mc.hit_time_budget |= r.mc.hit_time_budget;
-    total.mc.hit_memory_budget |= r.mc.hit_memory_budget;
-    total.mc.watchdog_fired |= r.mc.watchdog_fired;
-    total.mc.stopped_early |= r.mc.stopped_early;
-    total.mc.exhausted &= r.mc.exhausted;
-    if (r.mc.max_trail_depth > total.mc.max_trail_depth) {
-      total.mc.max_trail_depth = r.mc.max_trail_depth;
-    }
-    weaken(total.verdict, r.verdict);
-    total.spec.executions_checked += r.spec.executions_checked;
-    total.spec.inadmissible_execs += r.spec.inadmissible_execs;
-    total.spec.assertion_violation_execs += r.spec.assertion_violation_execs;
-    total.spec.histories_checked += r.spec.histories_checked;
-    total.spec.justification_checks += r.spec.justification_checks;
-    total.spec.history_cap_hit |= r.spec.history_cap_hit;
-    total.spec.r_cycle_seen |= r.spec.r_cycle_seen;
-    total.metrics.merge(r.metrics);
+    fold_counters(total, r.mc, r.spec, r.metrics);
+    weaken_verdict(total.verdict, r.verdict);
     for (auto& v : r.violations) total.violations.push_back(std::move(v));
     for (auto& s : r.reports) total.reports.push_back(std::move(s));
-
-    // Between tests: a Phase::kStart checkpoint saying "test i+1 has not
-    // begun; here is everything up to it". After the last test the
-    // checkpoint has served its purpose — unless the run ended
-    // inconclusive (a budget or cap cut the exploration short), in which
-    // case the engine's last snapshot stays on disk so --resume can pick
-    // the run back up with a bigger budget.
-    if (checkpointing) {
-      if (i + 1 < b.tests.size()) {
-        mc::Checkpoint cp;
-        cp.fingerprint_from(opts.engine);
-        cp.test_name = b.name + "#" + std::to_string(i + 1);
-        cp.test_index = static_cast<std::uint32_t>(i + 1);
-        cp.phase = mc::Checkpoint::Phase::kStart;
-        encode_prior(total, &cp);
-        cp.violations = strip_trails(total.violations);
-        std::string err;
-        if (!mc::write_checkpoint_file(opts.engine.checkpoint_path, cp, &err)) {
-          std::fprintf(stderr, "cds::harness: checkpoint write failed: %s\n",
-                       err.c_str());
-        }
-      } else if (total.verdict != mc::Verdict::kInconclusive) {
-        std::remove(opts.engine.checkpoint_path.c_str());
-      }
-    }
   }
   total.mc.verdict = total.verdict;
   return total;

@@ -19,21 +19,9 @@ struct RunOptions {
   mc::Config engine;
   spec::SpecChecker::Options checker;
 
-  // Resume state loaded from engine.checkpoint_path (non-owning; must stay
-  // alive across the run). The caller is responsible for the fingerprint
-  // check; run_benchmark additionally sanity-checks the test identity and
-  // falls back to a fresh run on mismatch.
-  const mc::Checkpoint* resume = nullptr;
-
-  // Template for checkpoints written during this run: its `extra` entries
-  // and violation records (the harness's accumulated prior-test state) are
-  // carried into every checkpoint file. Populated by run_benchmark.
-  mc::Checkpoint checkpoint_base;
-
   // Subtree-restriction prefix for parallel sharding (see
   // harness/parallel.h): when non-empty, the engine explores only the
-  // executions extending this pinned choice prefix. Incompatible with
-  // `resume`.
+  // executions extending this pinned choice prefix.
   std::vector<mc::Choice> subtree;
 };
 
@@ -67,6 +55,19 @@ struct RunResult {
 // Explores `test` under the model checker with specification checking.
 RunResult run_with_spec(const mc::TestFn& test, const RunOptions& opts = {});
 
+// Adds one exploration's counters to `into`: exploration stats through
+// mc::merge_shard_stats, spec counters summed (flags ORed), metrics
+// through obs::Registry::merge. Verdict, violations and reports are left
+// to the caller. run_benchmark folds each unit test with it and the shard
+// table each shard, so serial and sharded totals are summed alike.
+void fold_counters(RunResult& into, const mc::ExplorationStats& mc,
+                   const spec::SpecChecker::Stats& spec,
+                   const obs::Registry& metrics);
+
+// Weakest-verdict fold: falsified beats inconclusive beats
+// verified-exhaustive.
+void weaken_verdict(mc::Verdict& into, mc::Verdict v);
+
 // ---------------------------------------------------------------------------
 // Benchmark registry (the paper's Section 6 suite)
 // ---------------------------------------------------------------------------
@@ -91,16 +92,10 @@ void register_benchmark(Benchmark b);
 [[nodiscard]] const Benchmark* find_benchmark(const std::string& name);
 
 // Runs every unit test of a benchmark; sums exploration stats and merges
-// detections.
-//
-// With engine.checkpoint_path set, the engine checkpoints periodically
-// inside each test, the harness writes a Phase::kStart checkpoint between
-// tests (carrying the accumulated totals of the finished ones), and the
-// file is deleted once the whole benchmark completes. Passing the loaded
-// checkpoint back through RunOptions::resume skips already-finished tests
-// and resumes the interrupted one mid-exploration; the resumed run
-// converges to the same aggregate stats and verdict as an uninterrupted
-// one (violation records restored from the checkpoint carry no trails).
+// detections. The time budget covers the whole benchmark: each unit test
+// gets what the earlier ones left. A run that must survive a crash runs
+// as a journaled one-job shard run instead (harness/parallel.h), which
+// reports the same counters.
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts = {});
 
 // ---------------------------------------------------------------------------

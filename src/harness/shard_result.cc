@@ -332,14 +332,6 @@ bool parse_shard_result(const std::string& text, ShardResult* out,
   return true;
 }
 
-void weaken_verdict(mc::Verdict& into, mc::Verdict v) {
-  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
-    into = mc::Verdict::kFalsified;
-  } else if (v == mc::Verdict::kInconclusive) {
-    into = mc::Verdict::kInconclusive;
-  }
-}
-
 std::string render_shard_unit(const ShardUnit& u) {
   return "unit test=" + std::to_string(u.test_index) +
          " ordinal=" + std::to_string(u.ordinal) +
@@ -410,10 +402,6 @@ std::string run_shard_unit(const Benchmark& b, const RunOptions& base,
                            const ShardUnit& u,
                            const std::function<bool()>& stop_request) {
   RunOptions wo = base;
-  wo.resume = nullptr;
-  wo.checkpoint_base = mc::Checkpoint{};
-  wo.engine.checkpoint_path.clear();
-  wo.engine.checkpoint_every_execs = 0;
   wo.engine.test_name = b.name + "#" + std::to_string(u.test_index);
   wo.engine.test_index = static_cast<std::uint32_t>(u.test_index);
   // Heartbeats from parallel workers interleave on the shared stderr, so

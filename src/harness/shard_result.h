@@ -32,9 +32,9 @@
 // stats line; they merge by summation, so a --jobs/--dist-workers run
 // reports class counts bit-identical to a serial run.
 //
-// Parsing is strict-versioned: stale v1/v2/v3 spool files are treated as
-// corrupt (shard recomputed or crashed) rather than silently merged with
-// missing sections.
+// Parsing is strict-versioned: a stale v1/v2/v3 result (say, in a journal
+// written by an older build) is treated as corrupt (shard recomputed or
+// crashed) rather than silently merged with missing sections.
 #ifndef CDS_HARNESS_SHARD_RESULT_H
 #define CDS_HARNESS_SHARD_RESULT_H
 
@@ -130,9 +130,6 @@ ShardUnit make_shard_unit(const RunOptions& base, std::size_t test_index,
 std::string run_shard_unit(const Benchmark& b, const RunOptions& base,
                            const ShardUnit& u,
                            const std::function<bool()>& stop_request = nullptr);
-
-// Weakest-verdict fold shared by the parallel and distributed mergers.
-void weaken_verdict(mc::Verdict& into, mc::Verdict v);
 
 }  // namespace cds::harness
 

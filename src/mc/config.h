@@ -82,8 +82,8 @@ struct Config {
   bool enable_sleep_sets = true;
 
   // Equivalence relation the DFS enumerates representatives of. Part of
-  // the config fingerprint: trails, checkpoints and shard journals
-  // recorded in one mode never resume or replay under the other. Under
+  // the config fingerprint: trails and shard journals recorded in one
+  // mode never resume or replay under the other. Under
   // strengthen_to_sc every load is seq_cst, so kRf degenerates to
   // kSchedule (no load is ever deferred).
   ExploreMode explore = ExploreMode::kSchedule;
@@ -155,20 +155,9 @@ struct Config {
 
   // ---- persistence & containment ----------------------------------------
 
-  // When non-empty, the engine periodically writes its DFS frontier (plus
-  // counters and RNG state) to this file via write-to-temp+rename, so a
-  // killed exploration resumes from the last checkpoint instead of
-  // restarting (see mc/checkpoint.h and Engine::set_resume).
-  std::string checkpoint_path;
-
-  // Checkpoint cadence: write every this many executions, in both the DFS
-  // and sampling phases (a checkpoint is also forced whenever a budget
-  // exhausts or the watchdog fires).
-  std::uint64_t checkpoint_every_execs = 1000;
-
-  // Identity fingerprint stamped into checkpoints and .trail repros, e.g.
-  // "msqueue#2" (benchmark name '#' unit-test index). Resume and replay
-  // reject files whose fingerprint does not match the current run.
+  // Identity stamped into .trail repros, e.g. "msqueue#2" (benchmark name
+  // '#' unit-test index). Replay rejects trails whose identity does not
+  // match the current run.
   std::string test_name;
   std::uint32_t test_index = 0;
 

@@ -170,7 +170,7 @@ void Engine::report_violation(ViolationKind k, std::string detail) {
     v.execution_index = exec_index_;
     // Every recorded violation carries the choice sequence that produced
     // it: a replayable one-execution repro (exported as a .trail file by
-    // the CLI). Violations restored from a checkpoint have no trail.
+    // the CLI).
     v.trail = trail_.consumed();
     v.test_index = cfg_.test_index;
     violations_.push_back(std::move(v));
@@ -235,11 +235,8 @@ std::string Engine::format_trace() const {
 // ---------------------------------------------------------------------------
 
 double Engine::seconds_since_start() const {
-  // Includes the elapsed time restored from a checkpoint, so wall-clock
-  // budgets keep counting across a kill+resume instead of resetting.
-  return resume_elapsed_ +
-         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-             .count();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+      .count();
 }
 
 std::size_t Engine::memory_usage_estimate() const {
@@ -388,40 +385,6 @@ void Engine::contain_crash(int sig, const void* addr) {
   outcome_ = Outcome::kCrash;
 }
 
-void Engine::write_checkpoint(Checkpoint::Phase phase,
-                              const ExplorationStats& stats,
-                              std::uint64_t last_progress_exec) {
-  if (cfg_.checkpoint_path.empty()) return;
-  Checkpoint cp = cp_base_;
-  cp.fingerprint_from(cfg_);
-  if (cp.test_name.empty()) cp.test_name = "test";
-  cp.phase = phase;
-  cp.rng_state = rng_.state();
-  cp.elapsed_seconds = seconds_since_start();
-  cp.stats = stats;
-  cp.stats.violations_total = violations_total_;
-  cp.stats.hit_time_budget = hit_time_budget_;
-  cp.stats.hit_memory_budget = hit_memory_budget_;
-  cp.last_progress_exec = last_progress_exec;
-  // cp_base_.violations holds the harness's prior-test records; append
-  // this test's own on top. Trails are per-violation repro artifacts, not
-  // resume state; dropping them keeps checkpoints small and their absence
-  // after a resume is documented behavior.
-  cp.violations = cp_base_.violations;
-  for (const Violation& v : violations_) {
-    Violation copy = v;
-    copy.trail.clear();
-    cp.violations.push_back(std::move(copy));
-  }
-  if (listener_ != nullptr) listener_->on_checkpoint(cp.extra);
-  cp.trail = phase == Checkpoint::Phase::kDfs ? trail_.raw()
-                                              : std::vector<Choice>{};
-  std::string err;
-  if (!write_checkpoint_file(cfg_.checkpoint_path, cp, &err)) {
-    std::fprintf(stderr, "cds::mc: checkpoint write failed: %s\n", err.c_str());
-  }
-}
-
 ExplorationStats Engine::explore(const TestFn& test) {
   if (g_engine != nullptr) fatal("nested Engine::explore on one OS thread");
   g_engine = this;
@@ -436,62 +399,15 @@ ExplorationStats Engine::explore(const TestFn& test) {
   t0_ = std::chrono::steady_clock::now();
   hit_time_budget_ = false;
   hit_memory_budget_ = false;
-  resume_elapsed_ = 0.0;
   frontier_frac_floor_ = 0.0;
   install_crash_handlers();
 
   std::uint64_t last_progress_exec = 0;
   bool stopped = false;
-  bool skip_dfs = false;
-  bool resume_sampling = false;
-
-  // Resume: restore the interrupted exploration's counters, violation
-  // records, RNG stream, elapsed budget, and DFS frontier. Checkpoints are
-  // written after an execution is tallied and before the trail advances,
-  // so restoring the trail and advancing past it continues exactly where
-  // the killed run would have gone next; a resumed run therefore converges
-  // to the same stats and verdict as an uninterrupted one.
-  if (resume_.has_value() && resume_->phase != Checkpoint::Phase::kStart) {
-    const Checkpoint& rc = *resume_;
-    stats = rc.stats;
-    stats.seed = cfg_.seed;
-    stats.verdict = Verdict::kInconclusive;
-    stats.seconds = 0.0;
-    violations_ = rc.violations;
-    violations_total_ = rc.stats.violations_total;
-    last_progress_exec = rc.last_progress_exec;
-    rng_.set_state(rc.rng_state);
-    resume_elapsed_ = rc.elapsed_seconds;
-    hit_time_budget_ = rc.stats.hit_time_budget;
-    hit_memory_budget_ = rc.stats.hit_memory_budget;
-    if (rc.phase == Checkpoint::Phase::kDfs) {
-      trail_.restore(rc.trail);
-      if (!trail_.advance()) {
-        stats.exhausted = true;
-        skip_dfs = true;
-      }
-    } else {
-      skip_dfs = true;
-      resume_sampling = true;
-    }
-  }
-  const bool resumed_mid_run =
-      resume_.has_value() && resume_->phase != Checkpoint::Phase::kStart;
-  resume_.reset();
 
   // Subtree restriction: seed the trail with the shard's prefix and pin it
   // so DFS (and the degraded sampling phase) never leaves this subtree.
-  // Combining it with a mid-run resume would clobber the resumed DFS
-  // frontier; that used to be assert-only, so NDEBUG builds silently
-  // explored the wrong tree. Hard error in every build.
   if (!subtree_.empty()) {
-    if (resumed_mid_run) {
-      restore_crash_handlers();
-      g_engine = nullptr;
-      harness::Backend::set_current(nullptr);
-      fatal("set_subtree and set_resume are mutually exclusive (a subtree "
-            "prefix would clobber the resumed DFS frontier)");
-    }
     trail_.restore(subtree_);
     trail_.set_pinned(subtree_.size());
   }
@@ -523,7 +439,7 @@ ExplorationStats Engine::explore(const TestFn& test) {
   // the fuzzer's DFS-vs-sampling oracle uses to drive the random-walk
   // phase on its own).
   const auto dfs_t0 = std::chrono::steady_clock::now();
-  for (; !cfg_.sampling_only && !skip_dfs;) {
+  while (!cfg_.sampling_only) {
     exec_index_ = stats.executions;
     std::uint64_t violations_before = violations_total_;
     run_one(test);
@@ -532,14 +448,6 @@ ExplorationStats Engine::explore(const TestFn& test) {
     if (outcome_ == Outcome::kComplete || outcome_ == Outcome::kBuiltinViolation) {
       last_progress_exec = stats.executions;
     }
-    // Periodic checkpoint: after the tally, before any stop decision or
-    // trail advance, so a resume re-enters the loop at the next
-    // unexplored execution.
-    if (cfg_.checkpoint_every_execs != 0 &&
-        stats.executions % cfg_.checkpoint_every_execs == 0) {
-      write_checkpoint(Checkpoint::Phase::kDfs, stats, last_progress_exec);
-    }
-
     if (outcome_ == Outcome::kCrash) {
       // The crash is already a recorded kCrash violation carrying its
       // trail; the in-process engine always stops here (the harness's
@@ -599,7 +507,7 @@ ExplorationStats Engine::explore(const TestFn& test) {
   // covered — switch to seeded random-walk sampling instead of stopping
   // cold, so the remaining time still hunts for counterexamples.
   bool degraded = can_degrade &&
-                  (cfg_.sampling_only || resume_sampling ||
+                  (cfg_.sampling_only ||
                    (!stopped && !stats.exhausted && !stats.hit_execution_cap &&
                     (hit_time_budget_ || hit_memory_budget_ ||
                      stats.watchdog_fired)));
@@ -607,12 +515,6 @@ ExplorationStats Engine::explore(const TestFn& test) {
     if (hit_memory_budget_) arena_.release();  // restart from a small footprint
     active_deadline_ = cfg_.time_budget_seconds;  // sampling gets the remainder
     trail_.set_mode(Trail::Mode::kRandom, &rng_);
-    // A budget exhaustion is itself a checkpoint-worthy event: the DFS
-    // frontier is gone for good, so a kill during sampling must resume
-    // into the sampling phase, not redo the DFS.
-    if (!resume_sampling) {
-      write_checkpoint(Checkpoint::Phase::kSampling, stats, last_progress_exec);
-    }
     while (stats.sampled < cfg_.sample_executions) {
       if (active_deadline_ > 0.0 && seconds_since_start() >= active_deadline_) break;
       exec_index_ = stats.executions;
@@ -621,11 +523,6 @@ ExplorationStats Engine::explore(const TestFn& test) {
       ++stats.sampled;
       bool keep_going = tally_execution(stats);
       if (progress_) beat_progress(stats, "sampling");
-      if (cfg_.checkpoint_every_execs != 0 &&
-          stats.executions % cfg_.checkpoint_every_execs == 0) {
-        write_checkpoint(Checkpoint::Phase::kSampling, stats,
-                         last_progress_exec);
-      }
       if (outcome_ == Outcome::kCrash) {
         stats.stopped_early = true;
         break;
@@ -681,7 +578,7 @@ double Engine::frontier_fraction() const {
   // before the current leaf — a cheap coverage estimate (exact when
   // subtree sizes are uniform). frontier_fraction_of already clamps to
   // [0, 1] and is monotone across advance(); the floor additionally pins
-  // monotonicity across restore()/resume boundaries within one explore().
+  // monotonicity across restore() boundaries within one explore().
   double frac = frontier_fraction_of(trail_.raw());
   if (frac < frontier_frac_floor_) return frontier_frac_floor_;
   frontier_frac_floor_ = frac;

@@ -18,14 +18,12 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fiber/fiber.h"
 #include "harness/backend.h"
-#include "mc/checkpoint.h"
 #include "mc/config.h"
 #include "mc/location.h"
 #include "mc/memory_order.h"
@@ -54,12 +52,6 @@ class ExecutionListener {
   // Called for every feasible execution that completed without a built-in
   // violation. Return false to stop exploring.
   virtual bool on_execution_complete(Engine&) { return true; }
-  // Called while the engine assembles a checkpoint: append (or overwrite)
-  // any counters this layer needs to survive a kill+resume. The engine
-  // round-trips them opaquely; restore them from the Checkpoint's `extra`
-  // on resume.
-  virtual void on_checkpoint(
-      std::vector<std::pair<std::string, std::uint64_t>>&) {}
 };
 
 struct TraceEvent {
@@ -109,24 +101,13 @@ class Engine : public harness::Backend {
 
   void set_listener(ExecutionListener* l) { listener_ = l; }
 
-  // Resume a previous exploration from a loaded checkpoint (see
-  // mc/checkpoint.h). Must be called before explore(); the caller is
-  // responsible for checking Checkpoint::fingerprint_mismatch first. A
-  // Phase::kStart checkpoint is treated as a fresh exploration.
-  void set_resume(Checkpoint cp) { resume_ = std::move(cp); }
-
-  // Template for checkpoints this engine writes: its `extra` entries (e.g.
-  // the harness's accumulated prior-test totals) are carried into every
-  // checkpoint file, ahead of whatever the listener's on_checkpoint adds.
-  void set_checkpoint_base(Checkpoint cp) { cp_base_ = std::move(cp); }
-
   // Subtree-restriction mode (parallel sharding): explore() pins `prefix`
   // at the bottom of the trail and enumerates only the executions that
   // extend it. Because executions are deterministic functions of their
   // choice sequence, the subtrees of a set of disjoint prefixes partition
   // the full DFS tree; stats.exhausted then means "this subtree is
-  // exhausted". Must be set before explore(); incompatible with
-  // set_resume(). Pass an empty prefix to clear.
+  // exhausted". Must be set before explore(). Pass an empty prefix to
+  // clear.
   void set_subtree(std::vector<Choice> prefix) { subtree_ = std::move(prefix); }
 
   // --- introspection (valid while an execution is live or being checked) --
@@ -365,12 +346,6 @@ class Engine : public harness::Backend {
   // marks the execution's outcome. `sig`/`addr` come from the handler.
   void contain_crash(int sig, const void* addr);
 
-  // Assembles and atomically writes a checkpoint (no-op when
-  // cfg_.checkpoint_path is empty); failures warn on stderr and the
-  // exploration continues.
-  void write_checkpoint(Checkpoint::Phase phase, const ExplorationStats& stats,
-                        std::uint64_t last_progress_exec);
-
   Config cfg_;
   ExecutionListener* listener_ = nullptr;
 
@@ -427,11 +402,6 @@ class Engine : public harness::Backend {
   // point rounding on deep trails must never make the progress estimate
   // step backwards.
   mutable double frontier_frac_floor_ = 0.0;
-
-  // Checkpoint/resume state.
-  std::optional<Checkpoint> resume_;
-  Checkpoint cp_base_;
-  double resume_elapsed_ = 0.0;  // folded into seconds_since_start()
 
   // Crash containment state (valid while handlers are installed).
   bool crash_handlers_active_ = false;

@@ -29,8 +29,8 @@ ShardPlan enumerate_shard_prefixes(const Config& cfg, const TestFn& test,
   ShardPlan plan;
   if (max_units == 0) max_units = 1;
 
-  // Probe config: one execution per probe, no degradation, no budgets, no
-  // checkpointing — only the tree-shaping knobs survive.
+  // Probe config: one execution per probe, no degradation, no budgets —
+  // only the tree-shaping knobs survive.
   Config pcfg = cfg;
   pcfg.max_executions = 1;
   pcfg.sample_executions = 0;
@@ -39,8 +39,6 @@ ShardPlan enumerate_shard_prefixes(const Config& cfg, const TestFn& test,
   pcfg.memory_budget_bytes = 0;
   pcfg.watchdog_no_progress_execs = 0;
   pcfg.stop_on_first_violation = false;
-  pcfg.checkpoint_path.clear();
-  pcfg.checkpoint_every_execs = 0;
   Engine probe(pcfg);
 
   struct Node {
@@ -121,6 +119,13 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// A sequential pool with a preemption predicate (a journaled one-job run)
+// asks each preemptible unit to stop once it has run this long, so the
+// caller journals its partial result and queues its remainder. Each stop
+// costs one journal record per minted unit, so the interval is wall time,
+// not an execution count.
+constexpr double kInlineStopAfterSeconds = 1.0;
 
 #ifdef CDS_MC_SHARD_HAS_FORK
 
@@ -217,15 +222,22 @@ std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
   support::SigpipeIgnoreScope sigpipe_guard;
 
   // Sequential fallback; also sweeps up units left unassigned if every
-  // worker dies, including units on_result appends meanwhile.
+  // worker dies, including units on_result appends meanwhile. Only a
+  // one-job pool preempts here.
   auto run_inline = [&]() {
     const std::function<bool()> never = [] { return false; };
     for (; next < units.size(); ++next) {
       out.resize(units.size());
       UnitResult& r = out[next];
-      r.assigned_seconds = elapsed();
+      const double start = elapsed();
+      r.assigned_seconds = start;
       r.worker = 0;
-      r.text = work(next, units.payload(next), never);
+      const bool preempt =
+          opts.jobs <= 1 && opts.preemptible && opts.preemptible(next);
+      const std::function<bool()> due = [&elapsed, start] {
+        return elapsed() - start >= kInlineStopAfterSeconds;
+      };
+      r.text = work(next, units.payload(next), preempt ? due : never);
       r.done_seconds = elapsed();
       r.ran = true;
       std::string().swap(units.payload(next));

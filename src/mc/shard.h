@@ -39,7 +39,7 @@ struct ShardPlan {
 
 // Enumerates up to ~`max_units` disjoint subtree prefixes by expanding
 // branch points breadth-first to at most `depth` choice levels. The probe
-// runs single executions under `cfg` with budgets/checkpointing stripped;
+// runs single executions under `cfg` with budgets stripped;
 // `cfg`'s tree-shaping knobs (max_steps, stale_read_bound, sleep sets,
 // strengthen_to_sc) are honored since they define the tree being split.
 // Always returns at least one prefix (the empty prefix = the whole tree).
@@ -133,7 +133,9 @@ struct ForkMapOptions {
   // to stop (its `stop()` turns true), once it has run 2 ms. Each unit is
   // asked at most once, and one request is outstanding at a time. The
   // request names the unit, so a worker that already moved on never sees
-  // it. Null = never.
+  // it. A sequential pool (jobs <= 1) instead asks each unit for which
+  // this returns true to stop once it has run about a second, so a caller
+  // that journals results saves the progress of long units. Null = never.
   std::function<bool(std::size_t)> preemptible;
 };
 
@@ -151,7 +153,7 @@ std::vector<UnitResult> fork_map(
 // The same pool over a growable queue: runs every unit of `units`,
 // including those on_result appends, forking the workers once; it returns
 // when the queue is drained and no unit is running. Sequential runs
-// (jobs <= 1) never preempt.
+// (jobs <= 1) preempt only on the interval described at `preemptible`.
 std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
                                  const ForkMapOptions& opts);
 

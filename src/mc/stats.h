@@ -1,6 +1,6 @@
-// Exploration statistics, shared by the engine, the checkpoint layer, and
-// the harness (lives outside engine.h so mc/checkpoint.h can persist it
-// without pulling in the whole engine).
+// Exploration statistics, shared by the engine, the shard-result wire
+// format, and the harness (lives outside engine.h so the wire format can
+// carry it without pulling in the whole engine).
 #ifndef CDS_MC_STATS_H
 #define CDS_MC_STATS_H
 

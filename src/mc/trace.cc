@@ -163,6 +163,18 @@ std::string TrailFile::fingerprint_mismatch(const Config& cfg) const {
   return "";
 }
 
+std::string render_config_fingerprint(const Config& cfg) {
+  std::ostringstream os;
+  os << "stale=" << cfg.stale_read_bound << ",max_steps=" << cfg.max_steps
+     << ",strengthen_sc=" << (cfg.strengthen_to_sc ? 1 : 0)
+     << ",sleep_sets=" << (cfg.enable_sleep_sets ? 1 : 0)
+     << ",explore=" << to_string(cfg.explore) << ",seed=" << cfg.seed
+     << ",cap=" << cfg.max_executions << ",timeout=" << cfg.time_budget_seconds
+     << ",mem_cap=" << cfg.memory_budget_bytes
+     << ",stop_on_violation=" << (cfg.stop_on_first_violation ? 1 : 0);
+  return os.str();
+}
+
 std::string render_choices(const std::vector<Choice>& v) {
   std::ostringstream os;
   for (const Choice& c : v) {

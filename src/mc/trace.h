@@ -78,7 +78,7 @@ struct TrailFile {
 
   // Config fingerprint: the exploration parameters that shape the choice
   // tree. Replaying under a different fingerprint would desynchronize the
-  // trail, so replay applies these and resume rejects mismatches.
+  // trail, so replay applies these.
   std::uint32_t stale_read_bound = 3;
   std::uint64_t max_steps = 20000;
   bool strengthen_to_sc = false;
@@ -107,18 +107,27 @@ bool write_trail_file(const std::string& path, const TrailFile& t,
 bool load_trail_file(const std::string& path, TrailFile* out,
                      std::string* err);
 
-// Shared text-file plumbing (also used by mc/checkpoint.cc).
+// Shared text-file plumbing (also used by the trace and herd exporters).
 bool write_text_file_atomic(const std::string& path, const std::string& text,
                             std::string* err);
 bool read_text_file(const std::string& path, std::string* out,
                     std::string* err);
 
-// Renders the choices-only body ("S 1/2\n..."): shared with the checkpoint
-// format, which embeds the same trail section.
+// Renders the choices-only body ("S 1/2\n..."): shared with the shard
+// wire formats, which embed the same trail section.
 [[nodiscard]] std::string render_choices(const std::vector<Choice>& v);
 // Parses `n` choice lines starting at lines[*idx]; advances *idx past them.
 bool parse_choices(const std::vector<std::string>& lines, std::size_t* idx,
                    std::size_t n, std::vector<Choice>* out, std::string* err);
+
+// One-token rendering of the flags that decide what a run explores and
+// where it stops: the tree-shaping fields a TrailFile pins, the seed, and
+// the budgets that cut results short, e.g.
+//   stale=3,max_steps=20000,strengthen_sc=0,sleep_sets=1,explore=schedule,
+//   seed=42,cap=0,timeout=0,mem_cap=0,stop_on_violation=0
+// The shard journal keeps it in its run header, so a --resume under
+// different flags is refused instead of merging results they did not cut.
+[[nodiscard]] std::string render_config_fingerprint(const Config& cfg);
 
 }  // namespace cds::mc
 

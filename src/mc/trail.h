@@ -177,8 +177,8 @@ class Trail {
   }
 
   // Restore a previously captured trail (used to replay a violating
-  // execution for diagnostics, or to resume a checkpointed DFS). Replay is
-  // a pure prefix walk, so DFS mode. With `strict`, the debug-build
+  // execution for diagnostics, or to pin a shard's subtree prefix).
+  // Replay is a pure prefix walk, so DFS mode. With `strict`, the debug-build
   // determinism assertion is promoted to a runtime check: any mismatch
   // between the recorded choices and the choice points the execution
   // actually reaches is recorded (see replay_diverged()) instead of

@@ -39,7 +39,7 @@ enum class ViolationKind {
   return "?";
 }
 
-// Stable wire names for .trail / checkpoint files (the display strings
+// Stable wire names for .trail files and shard results (the display strings
 // above contain spaces). parse_violation_kind accepts exactly these.
 [[nodiscard]] constexpr const char* wire_name(ViolationKind k) {
   switch (k) {
@@ -95,8 +95,7 @@ struct Violation {
   std::uint64_t execution_index = 0;  // which explored execution produced it
   // Choice sequence of the violating execution: replaying it (mc/trace.h,
   // cdsspec-run --replay-trail) deterministically re-runs exactly this
-  // execution. Empty for violations restored from a checkpoint, whose
-  // trails are not persisted.
+  // execution. Shard results and the journal carry it along.
   std::vector<Choice> trail;
   // Index of the unit test within its benchmark (set by the harness when
   // aggregating; identifies the TestFn a trail repro must replay).

@@ -40,46 +40,6 @@ void SpecChecker::on_execution_begin(mc::Engine& e) {
   recorder_.begin_execution(static_cast<const harness::Backend*>(&e));
 }
 
-namespace {
-constexpr const char* kCpKeys[] = {
-    "spec.cur.executions_checked",      "spec.cur.inadmissible_execs",
-    "spec.cur.assertion_violation_execs", "spec.cur.histories_checked",
-    "spec.cur.justification_checks",    "spec.cur.history_cap_hit",
-    "spec.cur.r_cycle_seen",
-};
-}  // namespace
-
-void SpecChecker::on_checkpoint(
-    std::vector<std::pair<std::string, std::uint64_t>>& extra) {
-  const std::uint64_t vals[] = {
-      stats_.executions_checked,        stats_.inadmissible_execs,
-      stats_.assertion_violation_execs, stats_.histories_checked,
-      stats_.justification_checks,      stats_.history_cap_hit ? 1u : 0u,
-      stats_.r_cycle_seen ? 1u : 0u,
-  };
-  for (std::size_t i = 0; i < std::size(kCpKeys); ++i) {
-    bool found = false;
-    for (auto& [k, v] : extra) {
-      if (k == kCpKeys[i]) {
-        v = vals[i];
-        found = true;
-        break;
-      }
-    }
-    if (!found) extra.emplace_back(kCpKeys[i], vals[i]);
-  }
-}
-
-void SpecChecker::restore_from_checkpoint(const mc::Checkpoint& cp) {
-  stats_.executions_checked = cp.extra_value(kCpKeys[0]);
-  stats_.inadmissible_execs = cp.extra_value(kCpKeys[1]);
-  stats_.assertion_violation_execs = cp.extra_value(kCpKeys[2]);
-  stats_.histories_checked = cp.extra_value(kCpKeys[3]);
-  stats_.justification_checks = cp.extra_value(kCpKeys[4]);
-  stats_.history_cap_hit = cp.extra_value(kCpKeys[5]) != 0;
-  stats_.r_cycle_seen = cp.extra_value(kCpKeys[6]) != 0;
-}
-
 bool SpecChecker::on_execution_complete(mc::Engine& e) {
   ++stats_.executions_checked;
   if (m_execs_ != nullptr) m_execs_->add();

@@ -63,11 +63,6 @@ class SpecChecker : public mc::ExecutionListener {
 
   void on_execution_begin(mc::Engine& e) override;
   bool on_execution_complete(mc::Engine& e) override;
-  // Checkpoint persistence: exports the live counters as "spec.cur.*"
-  // entries so a kill+resume restores them via restore_from_checkpoint().
-  void on_checkpoint(
-      std::vector<std::pair<std::string, std::uint64_t>>& extra) override;
-  void restore_from_checkpoint(const mc::Checkpoint& cp);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] Recorder& recorder() { return recorder_; }

@@ -1,17 +1,13 @@
 // Low-level IO helpers shared by every process-boundary layer (fork_map
-// pipes, the distributed socket transport, the spool-dir result cache).
+// pipes, the distributed socket transport, the shard journal).
 //
-// Three concerns live here on purpose:
+// Two concerns live here on purpose:
 //  - EINTR discipline: every read/write loops on EINTR, so signal delivery
 //    (progress timers, child reaping) can never shear a frame in half.
 //  - SIGPIPE containment: a peer that dies mid-conversation must surface
 //    as an EPIPE error code on *any* fd we hold, not a process-fatal
 //    signal. SigpipeIgnoreScope is installed RAII-style around whole
 //    coordinator/worker loops, not just individual writes.
-//  - Spool integrity: cached shard results carry a length+CRC footer and
-//    are only ever written via temp+rename, so a crash mid-write (or a
-//    truncated disk) yields a file that fails validation and is
-//    quarantined + recomputed instead of being parsed as a result.
 #ifndef CDS_SUPPORT_IO_H
 #define CDS_SUPPORT_IO_H
 
@@ -36,7 +32,7 @@ bool read_full(int fd, void* data, std::size_t len);
 // line readers over sockets/pipes.
 long read_some(int fd, void* data, std::size_t len);
 
-// CRC-32 (IEEE 802.3, reflected), the checksum in spool footers.
+// CRC-32 (IEEE 802.3, reflected), the checksum on shard journal records.
 std::uint32_t crc32(const void* data, std::size_t len);
 std::uint32_t crc32(const std::string& s);
 
@@ -67,28 +63,6 @@ class SigpipeIgnoreScope {
   bool installed_ = false;
   void* old_action_;  // opaque storage for struct sigaction
 };
-
-// ---------------------------------------------------------------------------
-// Checksummed spool files
-// ---------------------------------------------------------------------------
-// Format: the payload bytes, followed by one footer line
-//   #cds-spool len=<payload bytes> crc32=<8 hex digits>\n
-// The footer is validated on read; any mismatch (truncation, bit rot,
-// a stale un-footered file from an older version) fails the read.
-
-// Atomically writes `text` + footer via write-to-temp+rename. Returns
-// false with a reason in *err.
-bool write_spool_file(const std::string& path, const std::string& text,
-                      std::string* err);
-
-// Reads and validates a spool file. On success *out holds the payload
-// (footer stripped). On validation failure the file is renamed aside to
-// "<path>.quarantined" (never re-read, preserved for inspection), *err
-// explains why, and `quarantined` (when non-null) is set so callers can
-// count recomputations. A missing file is a plain false with
-// quarantined untouched.
-bool read_spool_file(const std::string& path, std::string* out,
-                     std::string* err, bool* quarantined = nullptr);
 
 }  // namespace cds::support
 

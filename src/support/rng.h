@@ -36,11 +36,6 @@ class Xorshift64 {
     return (x - threshold) % n;
   }
 
-  // Full internal state, for checkpoint/resume: a run restored with
-  // set_state() draws the exact stream the interrupted run would have.
-  [[nodiscard]] std::uint64_t state() const { return s_; }
-  void set_state(std::uint64_t s) { s_ = s ? s : 1u; }
-
  private:
   std::uint64_t s_;
 };

@@ -50,7 +50,9 @@ dist::JournalRecord run_record() {
   r.epoch = 3;
   r.shards = 12;
   r.plan_hash = 0xDEADBEEFu;
-  r.fingerprint = 0x01020304u;
+  r.fingerprint =
+      "stale=3,max_steps=20000,strengthen_sc=0,sleep_sets=1,explore=rf,"
+      "seed=42,cap=0,timeout=0,mem_cap=0,stop_on_violation=0";
   r.bench = "ticket-lock with spaces\nand a newline";
   return r;
 }
@@ -141,7 +143,7 @@ TEST(Journal, CrcCatchesAnySingleCorruptedByte) {
 TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
   const std::string path = tmp_path("torn.journal");
   const std::string qpath = path + ".quarantined";
-  const std::string magic = "cdsspec-journal v1\n";
+  const std::string magic = "cdsspec-journal v2\n";
   const std::string good1 = dist::render_journal_record(run_record());
   const std::string good2 = dist::render_journal_record(result_record());
   dist::JournalRecord last;
@@ -185,7 +187,7 @@ TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
 
 TEST(Journal, CorruptRecordTruncatesBackToLastGoodRecord) {
   const std::string path = tmp_path("corrupt.journal");
-  const std::string magic = "cdsspec-journal v1\n";
+  const std::string magic = "cdsspec-journal v2\n";
   const std::string good = dist::render_journal_record(run_record());
   std::string bad = dist::render_journal_record(result_record());
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);

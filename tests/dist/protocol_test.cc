@@ -10,8 +10,8 @@
 #include "dist/net.h"
 #include "dist/protocol.h"
 #include "harness/shard_result.h"
-#include "mc/checkpoint.h"
 #include "mc/shard.h"
+#include "mc/trace.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
 

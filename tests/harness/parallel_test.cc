@@ -15,7 +15,6 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -110,6 +109,49 @@ TEST(ParallelHarness, MergedStatsMatchSerialOnFalsifiedBenchmark) {
   EXPECT_EQ(pr.merged.violations.front().kind, serial.violations.front().kind);
   EXPECT_EQ(pr.merged.violations.front().test_index,
             serial.violations.front().test_index);
+}
+
+// Every shard's checker keeps its own first max_reports reports; the
+// merge keeps each unit test's first max_reports in DFS order, as the one
+// checker of a serial run does. Only the execution numbers in the traces
+// may differ: a shard counts from its own first execution.
+TEST(ParallelHarness, ReportsAreCappedPerUnitTestAsInSerial) {
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("ticket-lock");
+  ASSERT_NE(b, nullptr);
+  for (const auto& s : inject::sites_for(b->name)) {
+    if (s.injectable()) {
+      inject::inject(s.id);
+      break;
+    }
+  }
+  auto without_execution_numbers = [](const std::vector<std::string>& reps) {
+    std::vector<std::string> out;
+    for (std::string r : reps) {
+      const std::size_t at = r.find("execution #");
+      if (at != std::string::npos) {
+        const std::size_t end = r.find(' ', at + 11);
+        r.erase(at + 11, end - (at + 11));
+      }
+      out.push_back(std::move(r));
+    }
+    return out;
+  };
+  harness::RunOptions opts;
+  const harness::RunResult serial = harness::run_benchmark(*b, opts);
+  std::vector<harness::RunResult> sharded;
+  for (int jobs : {2, 4}) {
+    harness::ParallelOptions par;
+    par.jobs = jobs;
+    sharded.push_back(harness::run_benchmark_parallel(*b, opts, par).merged);
+  }
+  inject::clear_injection();
+  ASSERT_EQ(serial.verdict, mc::Verdict::kFalsified);
+  ASSERT_GT(serial.reports.size(), opts.checker.max_reports);
+  for (const harness::RunResult& merged : sharded) {
+    EXPECT_EQ(without_execution_numbers(merged.reports),
+              without_execution_numbers(serial.reports));
+  }
 }
 
 TEST(ParallelHarness, FuzzOracleShardedBehaviorsMatchSerial) {
@@ -424,20 +466,6 @@ TEST(ForkMap, StopRequestsNameTheUnitTheyTarget) {
   EXPECT_NE(out[1].worker, out[2].worker);
 }
 
-std::size_t count_spool_results(const std::string& dir) {
-  std::size_t n = 0;
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  while (dirent* e = readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 7 && name.compare(name.size() - 7, 7, ".result") == 0) {
-      ++n;
-    }
-  }
-  closedir(d);
-  return n;
-}
-
 TEST(ParallelStealSlow, KilledWithAPreemptedResultResumesBitIdentical) {
   ds::register_all_benchmarks();
   const auto* cl = harness::find_benchmark("chase-lev-deque");
@@ -545,46 +573,6 @@ TEST(ParallelStealSlow, CappedRunsMergeAsIfNeverSplit) {
       harness::run_benchmark_parallel(b, generous, four);
   EXPECT_GT(stolen.steals, 0u);
   expect_bit_identical(serial, stolen.merged);
-}
-
-TEST(ParallelStealSlow, SpooledShardsNeverStealAndMintedOnesAreNotSpooled) {
-  ds::register_all_benchmarks();
-  const auto* cl = harness::find_benchmark("chase-lev-deque");
-  ASSERT_NE(cl, nullptr);
-  const harness::Benchmark b = single_test(*cl, 0);
-  harness::RunOptions opts;
-  opts.engine.explore = mc::ExploreMode::kRf;
-  harness::RunResult serial = harness::run_benchmark(b, opts);
-
-  // A spool pins the plan: every planned shard runs whole and is spooled.
-  const std::string spool = tmp_path("steal-spool");
-  harness::ParallelOptions par;
-  par.jobs = 4;
-  par.spool_dir = spool;
-  harness::ParallelRunResult pr = harness::run_benchmark_parallel(b, opts, par);
-  EXPECT_EQ(pr.steals, 0u);
-  EXPECT_EQ(pr.minted, 0u);
-  EXPECT_EQ(count_spool_results(spool + "/t0"), pr.shards);
-  expect_bit_identical(serial, pr.merged);
-
-  // Resuming a journal whose preempted root re-mints sub-shards: those run
-  // (and may split further) but never reach the spool, whose keys name
-  // planned shards only.
-  const std::string path = tmp_path("steal-spool.journal");
-  std::remove(path.c_str());
-  harness::ParallelOptions jpar;
-  jpar.jobs = 2;
-  jpar.max_shards = 1;
-  jpar.journal_path = path;
-  ASSERT_TRUE(kill_after_first_preempted_result(b, opts, jpar));
-  jpar.resume = true;
-  jpar.spool_dir = spool;
-  harness::ParallelRunResult r = harness::run_benchmark_parallel(b, opts, jpar);
-  ASSERT_TRUE(r.resume_error.empty()) << r.resume_error;
-  EXPECT_GT(r.minted, 0u);
-  EXPECT_EQ(count_spool_results(spool + "/t0.e2"), 0u);
-  expect_bit_identical(serial, r.merged);
-  std::remove(path.c_str());
 }
 
 #endif  // fork-capable platforms

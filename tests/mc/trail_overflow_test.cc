@@ -1,17 +1,11 @@
-// Regression tests for two fail-loud paths in the exploration engine:
-//
-//  - A choice fan-out that does not fit the trail's uint16 Choice encoding
-//    must fail the offending execution as an engine-fatal diagnostic.
-//    Release builds used to truncate the count silently (the check was
-//    assert-only) and then explore the wrong tree.
-//  - Combining set_subtree() with a mid-run set_resume() must be a hard
-//    error in every build: a subtree prefix clobbers the resumed DFS
-//    frontier. This too was assert-only, so NDEBUG builds silently
-//    explored the wrong tree.
+// Regression tests for a fail-loud path in the exploration engine: a
+// choice fan-out that does not fit the trail's uint16 Choice encoding must
+// fail the offending execution as an engine-fatal diagnostic. Release
+// builds used to truncate the count silently (the check was assert-only)
+// and then explore the wrong tree.
 #include <gtest/gtest.h>
 
 #include "mc/atomic.h"
-#include "mc/checkpoint.h"
 #include "mc/engine.h"
 #include "mc/trail.h"
 
@@ -56,28 +50,6 @@ TEST(TrailOverflow, BareTrailWithoutHandlerAborts) {
         (void)t.choose(ChoiceKind::kReadsFrom, 0x10000);
       },
       "outside the recordable range");
-}
-
-TEST(TrailOverflow, SubtreeAndResumeAreMutuallyExclusive) {
-  EXPECT_DEATH(
-      {
-        Config cfg;
-        Engine e(cfg);
-        Checkpoint cp;
-        cp.phase = Checkpoint::Phase::kDfs;
-        cp.fingerprint_from(cfg);
-        cp.trail.push_back(Choice{ChoiceKind::kSchedule, 0, 2});
-        e.set_resume(std::move(cp));
-        e.set_subtree({Choice{ChoiceKind::kSchedule, 0, 2}});
-        (void)e.explore([](Exec& x) {
-          auto* a = x.make<Atomic<int>>(0, "a");
-          int t1 = x.spawn([a] { a->store(1, MemoryOrder::relaxed); });
-          int t2 = x.spawn([a] { a->store(2, MemoryOrder::relaxed); });
-          x.join(t1);
-          x.join(t2);
-        });
-      },
-      "mutually exclusive");
 }
 
 }  // namespace

@@ -22,9 +22,9 @@
 //        --cap N (execution cap), --stale N (stale-read bound),
 //        --timeout SECS (wall-clock budget; degrades to sampling),
 //        --mem-cap MB (memory budget), --seed N (RNG seed),
-//        --checkpoint FILE (serial: periodic resumable snapshots;
-//            with --jobs/--dist-workers: write-ahead shard journal),
-//        --resume (continue from the --checkpoint file or journal),
+//        --checkpoint FILE (write-ahead shard journal; a serial run
+//            journals one shard per unit test, see harness/parallel.h),
+//        --resume (replay the --checkpoint journal, recompute the rest),
 //        --trail-out FILE (write a .trail repro of the found violation),
 //        --jobs N (parallel sharded exploration over forked workers),
 //        --shard-depth N (prefix depth for --jobs shard enumeration),
@@ -56,7 +56,6 @@
 #include "harness/stress_backend.h"
 #include "spec/observed.h"
 #include "inject/inject.h"
-#include "mc/checkpoint.h"
 #include "mc/trace.h"
 #include "obs/trace_export.h"
 #include "spec/checker.h"
@@ -87,9 +86,9 @@ void usage() {
       "       cdsspec-run --replay-trail FILE\n"
       "       cdsspec-run --worker ADDR [--progress[=SECS]]\n"
       "addresses: 'host:port' (TCP) or 'unix:PATH' (Unix-domain socket)\n"
-      "durability: with --jobs/--dist-workers, --checkpoint FILE names a\n"
-      "            write-ahead shard journal; --resume replays it after a\n"
-      "            crash to a bit-identical verdict and counter set\n"
+      "durability: --checkpoint FILE names a write-ahead shard journal;\n"
+      "            --resume with the same flags replays it after a crash\n"
+      "            to a bit-identical verdict and counter set\n"
       "exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error\n"
       "            (also replay divergence / resume mismatch), 3 inconclusive\n");
 }
@@ -586,6 +585,7 @@ int main(int argc, char** argv) {
   std::uint64_t inject_idx_u = 0;
   bool have_inject = false;
   bool want_resume = false;
+  std::string journal_path;
   std::string trail_out;
   std::string metrics_out;
   std::string trace_out;
@@ -645,8 +645,7 @@ int main(int argc, char** argv) {
         return kExitUsage;
       sweep_opts.seed = opts.engine.seed;
     } else if (a == "--checkpoint") {
-      if (!flag_str(argc, argv, &i, "--checkpoint",
-                    &opts.engine.checkpoint_path))
+      if (!flag_str(argc, argv, &i, "--checkpoint", &journal_path))
         return kExitUsage;
     } else if (a == "--resume") {
       want_resume = true;
@@ -795,7 +794,7 @@ int main(int argc, char** argv) {
     opts.engine.watchdog_no_progress_execs = 100000;
   }
 
-  if ((sweep || dot) && (!opts.engine.checkpoint_path.empty() || want_resume ||
+  if ((sweep || dot) && (!journal_path.empty() || want_resume ||
                          !trail_out.empty() || !metrics_out.empty() ||
                          !trace_out.empty())) {
     std::fprintf(stderr,
@@ -804,13 +803,10 @@ int main(int argc, char** argv) {
                  "or --dot\n");
     return kExitUsage;
   }
-  if (want_resume && opts.engine.checkpoint_path.empty()) {
+  if (want_resume && journal_path.empty()) {
     std::fprintf(stderr, "cdsspec-run: --resume requires --checkpoint FILE\n");
     return kExitUsage;
   }
-  // --checkpoint/--resume compose with --jobs and --dist-workers: there
-  // the file is the write-ahead shard journal (dist/journal.h) instead of
-  // the serial engine checkpoint, and --resume replays it.
   if (jobs_u > 1 && (sweep || dot)) {
     std::fprintf(stderr,
                  "cdsspec-run: --jobs applies to plain runs only; "
@@ -825,13 +821,15 @@ int main(int argc, char** argv) {
                  "--dot\n");
     return kExitUsage;
   }
-  const bool sharded_mode = jobs_u > 1 || dist_mode;
-  if (!sharded_mode &&
+  // A journal (--checkpoint) turns a serial run into a one-job shard
+  // run: the coordinator-side chaos hooks then apply to it as well.
+  const bool journaled = !journal_path.empty();
+  if (!journaled && jobs_u <= 1 && !dist_mode &&
       (chaos_coord_kill_append_u > 0 || chaos_coord_kill_merge_u > 0 ||
        chaos_coord_trunc_u > 0)) {
     std::fprintf(stderr,
-                 "cdsspec-run: --chaos-coord-* apply to --jobs/--dist-workers "
-                 "runs only\n");
+                 "cdsspec-run: --chaos-coord-* apply to --checkpoint, --jobs "
+                 "and --dist-workers runs only\n");
     return kExitUsage;
   }
   const bool stress_mode = backend == "stress";
@@ -843,7 +841,7 @@ int main(int argc, char** argv) {
   }
   if (stress_mode &&
       (sweep || dot || jobs_u > 1 || dist_mode || want_resume ||
-       !opts.engine.checkpoint_path.empty() || !metrics_out.empty() ||
+       journaled || !metrics_out.empty() ||
        !trace_out.empty())) {
     std::fprintf(stderr,
                  "cdsspec-run: --backend stress runs plain only; it is "
@@ -851,48 +849,6 @@ int main(int argc, char** argv) {
                  "--coordinator, --checkpoint/--resume, --metrics-out and "
                  "--trace-out\n");
     return kExitUsage;
-  }
-
-  // Load the resume state. A missing file is a fresh start (first run of a
-  // campaign); a torn or corrupted file degrades to a fresh start with a
-  // warning (the atomic writer makes this near-impossible, but a damaged
-  // disk must not wedge the tool); a config mismatch is a hard error — the
-  // checkpoint belongs to a run with different exploration parameters and
-  // silently restarting would discard the user's intent.
-  // Sharded runs resume from the journal instead (below): the serial
-  // checkpoint format does not apply to them.
-  cds::mc::Checkpoint resume_cp;
-  if (want_resume && !sharded_mode) {
-    std::string err;
-    std::string text;
-    if (!cds::mc::read_text_file(opts.engine.checkpoint_path, &text, &err)) {
-      std::fprintf(stderr,
-                   "cdsspec-run: no checkpoint at '%s' (%s); starting fresh\n",
-                   opts.engine.checkpoint_path.c_str(), err.c_str());
-    } else if (!cds::mc::parse_checkpoint(text, &resume_cp, &err)) {
-      std::fprintf(stderr,
-                   "cdsspec-run: checkpoint '%s' is unusable (%s); "
-                   "starting fresh\n",
-                   opts.engine.checkpoint_path.c_str(), err.c_str());
-    } else {
-      std::string mismatch = resume_cp.fingerprint_mismatch(opts.engine);
-      if (!mismatch.empty()) {
-        std::fprintf(stderr,
-                     "cdsspec-run: checkpoint '%s' was recorded under "
-                     "different flags (%s); rerun with the original flags or "
-                     "delete the file to start fresh\n",
-                     opts.engine.checkpoint_path.c_str(), mismatch.c_str());
-        return kExitUsage;
-      }
-      opts.resume = &resume_cp;
-      std::fprintf(stderr,
-                   "cdsspec-run: resuming from '%s' (test %s, phase %s, "
-                   "%llu executions in)\n",
-                   opts.engine.checkpoint_path.c_str(),
-                   resume_cp.test_name.c_str(), to_string(resume_cp.phase),
-                   static_cast<unsigned long long>(
-                       resume_cp.stats.executions));
-    }
   }
 
   if (sites) {
@@ -1092,14 +1048,9 @@ int main(int argc, char** argv) {
   cds::harness::ParallelRunResult par;
   cds::dist::DistRunResult dist;
   const bool parallel = jobs_u > 1;
-  // In sharded modes --checkpoint names the shard journal, not a serial
-  // engine checkpoint — hand it to the coordinator and keep it out of the
-  // engine config forwarded to shard children.
-  std::string journal_path;
-  if (sharded_mode) {
-    journal_path = opts.engine.checkpoint_path;
-    opts.engine.checkpoint_path.clear();
-  }
+  // A journaled serial run is a one-job shard run: one shard per unit
+  // test, the same journal records as --jobs.
+  const bool pooled = parallel || (journaled && !dist_mode);
   cds::dist::CoordinatorChaos coord_chaos;
   if (chaos_coord_kill_append_u > 0) {
     coord_chaos.kill_after_append =
@@ -1135,10 +1086,11 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     r = std::move(dist.merged);
-  } else if (parallel) {
+  } else if (pooled) {
     cds::harness::ParallelOptions popts;
     popts.jobs = static_cast<int>(jobs_u);
     popts.shard_depth = static_cast<int>(shard_depth_u);
+    if (!parallel) popts.max_shards = 1;
     popts.journal_path = journal_path;
     popts.resume = want_resume;
     popts.coord_chaos = coord_chaos;
@@ -1155,7 +1107,7 @@ int main(int argc, char** argv) {
   // replaying a violation trail needs the same weakened memory order that
   // shaped it.
   if (json) {
-    print_result_json(b->name, r, parallel ? &par : nullptr,
+    print_result_json(b->name, r, pooled ? &par : nullptr,
                       dist_mode ? &dist : nullptr);
   } else {
     if (dist_mode) {
@@ -1193,22 +1145,24 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(par.steals),
                   static_cast<unsigned long long>(par.crashed_shards),
                   static_cast<unsigned long long>(par.probe_executions));
-      if (par.epoch != 0) {
-        std::printf(
-            "journal: epoch=%llu%s replayed=%llu quarantined-bytes=%llu\n",
-            static_cast<unsigned long long>(par.epoch),
-            par.resumed ? " (resumed)" : "",
-            static_cast<unsigned long long>(par.replayed_shards),
-            static_cast<unsigned long long>(par.journal_quarantined_bytes));
-      }
+    }
+    if (pooled && par.epoch != 0) {
+      std::printf(
+          "journal: epoch=%llu%s shards=%llu replayed=%llu "
+          "quarantined-bytes=%llu\n",
+          static_cast<unsigned long long>(par.epoch),
+          par.resumed ? " (resumed)" : "",
+          static_cast<unsigned long long>(par.shards),
+          static_cast<unsigned long long>(par.replayed_shards),
+          static_cast<unsigned long long>(par.journal_quarantined_bytes));
     }
     print_result(r, reports);
   }
 
   // Persist a one-execution repro of the found violation. Crashes win the
   // tie-break: a contained SIGSEGV is the finding most worth replaying
-  // under a debugger. Violations restored from a checkpoint carry no trail
-  // and are skipped.
+  // under a debugger. Journaled results keep their trails, so this works
+  // after a --resume too.
   if (!trail_out.empty()) {
     const cds::mc::Violation* pick = nullptr;
     for (const auto& v : r.violations) {
@@ -1269,7 +1223,6 @@ int main(int argc, char** argv) {
     cds::mc::Config cfg = opts.engine;
     cfg.collect_trace = true;
     cfg.progress_interval_seconds = 0.0;
-    cfg.checkpoint_path.clear();
     cfg.max_executions = 1;
     cfg.sample_executions = 0;
     cfg.time_budget_seconds = 0.0;
