@@ -143,8 +143,8 @@ OPEvent Method::snapshot() const { return backend_->snapshot_op(tid_); }
 void Method::note_site(const char* kind, const std::source_location& loc) const {
   if (spec_ == nullptr) return;
   // One spec "line" per distinct textual annotation site.
-  const_cast<Specification*>(spec_)->note_op_site(
-      std::string(kind) + "@" + loc.file_name() + ":" + std::to_string(loc.line()));
+  const_cast<Specification*>(spec_)->note_op_site(kind, loc.file_name(),
+                                                   loc.line());
 }
 
 void Method::op_define(std::source_location loc) {

@@ -50,10 +50,16 @@ int Specification::spec_lines() const {
   return lines;
 }
 
-void Specification::note_op_site(const std::string& site_key) {
+void Specification::note_op_site(const char* kind, const char* file,
+                                 std::uint32_t line) {
   std::lock_guard<std::mutex> lock(op_site_mutex());
-  if (std::find(op_sites_.begin(), op_sites_.end(), site_key) == op_sites_.end()) {
-    op_sites_.push_back(site_key);
+  for (const SiteKey& k : site_keys_) {
+    if (k.kind == kind && k.file == file && k.line == line) return;
+  }
+  site_keys_.push_back(SiteKey{kind, file, line});
+  std::string site = std::string(kind) + "@" + file + ":" + std::to_string(line);
+  if (std::find(op_sites_.begin(), op_sites_.end(), site) == op_sites_.end()) {
+    op_sites_.push_back(std::move(site));
   }
 }
 

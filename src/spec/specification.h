@@ -184,9 +184,12 @@ class Specification {
   // point annotation site (counted by the annotation runtime).
   [[nodiscard]] int spec_lines() const;
   [[nodiscard]] int admissibility_lines() const { return static_cast<int>(admits_.size()); }
+  // Records the annotation site `kind@file:line`. Called on every
+  // annotation of every execution, so a site already seen under the same
+  // (kind, file, line) pointers returns before any string is built.
   // Thread-safe (annotation sites fire from concurrent real threads under
   // the stress backend); serialized on a process-wide mutex in the .cc.
-  void note_op_site(const std::string& site_key);
+  void note_op_site(const char* kind, const char* file, std::uint32_t line);
   [[nodiscard]] int ordering_point_sites() const;
 
  private:
@@ -195,6 +198,14 @@ class Specification {
   std::vector<AdmitRule> admits_;
   void* (*create_state_)() = nullptr;
   void (*destroy_state_)(void*) = nullptr;
+  struct SiteKey {
+    const char* kind;
+    const char* file;
+    std::uint32_t line;
+  };
+  std::vector<SiteKey> site_keys_;
+  // Distinct "kind@file:line" strings: two keys may name one site when a
+  // header's file name is not a single literal across translation units.
   std::vector<std::string> op_sites_;
 };
 
