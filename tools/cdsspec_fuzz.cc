@@ -14,7 +14,9 @@
 //       pair to --out.
 //   --herd-out DIR   export each checked program as a herd7 C-litmus test
 //       plus a .expected file holding our exhaustive behavior set, for
-//       tools/herd_adjudicate to compare against herd7's verdict.
+//       tools/herd_adjudicate to compare against herd7's verdict. DIR must
+//       be an existing writable directory (else exit 2 before any trial);
+//       a failed export makes the run exit 2.
 //
 // Each trial generates a seeded random litmus program and cross-checks the
 // engine's behavior set three ways (see src/fuzz/oracle.h): brute-force
@@ -23,7 +25,7 @@
 // auto-minimized and written to --out as a self-contained .litmus repro.
 //
 // Exit codes: 0 all oracles agreed, 1 disagreement found (repro written),
-//             2 usage error.
+//             2 usage or I/O error (unreadable input, failed export).
 //
 // --unsound-hook {sc-floor|sleep-wake} arms a deliberately broken engine
 // variant (test-only): the run must then FIND disagreements; used by the
@@ -40,6 +42,8 @@
 #include <vector>
 
 #include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "fuzz/generator.h"
 #include "fuzz/herd_export.h"
@@ -225,8 +229,9 @@ std::string stem_of(const std::string& path) {
 
 // Exports `p` for herd7 adjudication. Skips (with a note) when the DFS hit
 // a cap before exhausting: a partial .expected would claim behaviors are
-// forbidden that we merely did not finish enumerating.
-void herd_export_one(const cds::fuzz::Program& p,
+// forbidden that we merely did not finish enumerating. Returns false when
+// the files could not be written.
+bool herd_export_one(const cds::fuzz::Program& p,
                      const cds::fuzz::OracleConfig& cfg,
                      const std::string& name, const std::string& dir) {
   auto mb = cds::fuzz::mc_behaviors(p, cfg);
@@ -235,16 +240,25 @@ void herd_export_one(const cds::fuzz::Program& p,
                  "cdsspec-fuzz: --herd-out: %s: DFS hit a cap before "
                  "exhausting; not exported\n",
                  name.c_str());
-    return;
+    return true;
   }
   std::string err;
   if (!cds::fuzz::write_herd_files(p, name, mb.behaviors, dir, &err)) {
     std::fprintf(stderr, "cdsspec-fuzz: --herd-out: %s: %s\n", name.c_str(),
                  err.c_str());
-    return;
+    return false;
   }
   std::printf("herd-out: %s/%s.litmus + .expected (%zu states)\n",
               dir.c_str(), name.c_str(), mb.behaviors.size());
+  return true;
+}
+
+// --herd-out must name an existing directory this process can write into;
+// checked before any trial runs.
+bool writable_dir(const std::string& dir) {
+  struct stat st {};
+  return ::stat(dir.c_str(), &st) == 0 && S_ISDIR(st.st_mode) &&
+         ::access(dir.c_str(), W_OK | X_OK) == 0;
 }
 
 // Best-effort stress witness: re-runs the single-runner iteration seed
@@ -351,8 +365,9 @@ int replay_files(const std::vector<std::string>& files,
       ++failed;
       continue;
     }
-    if (!ex.herd_out.empty()) {
-      herd_export_one(p, cfg, stem_of(path), ex.herd_out);
+    if (!ex.herd_out.empty() &&
+        !herd_export_one(p, cfg, stem_of(path), ex.herd_out)) {
+      ++failed;
     }
     if (ex.cross_backend) {
       std::string detail;
@@ -556,6 +571,12 @@ int main(int argc, char** argv) {
   }
 
   ex.out_dir = out_dir;
+  if (!ex.herd_out.empty() && !writable_dir(ex.herd_out)) {
+    std::fprintf(stderr,
+                 "cdsspec-fuzz: --herd-out: '%s' is not a writable directory\n",
+                 ex.herd_out.c_str());
+    return kExitUsage;
+  }
   if (!replay.empty()) {
     // Deterministic order regardless of directory enumeration order.
     std::sort(replay.begin(), replay.end());
@@ -574,6 +595,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t done = 0, skipped = 0, checks = 0;
   std::uint64_t cross_disagreed = 0;
+  std::uint64_t export_failed = 0;
   bool timed_out = false;
   std::vector<Repro> repros;
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
@@ -595,8 +617,9 @@ int main(int argc, char** argv) {
       continue;
     }
     const std::string trial_name = "seed" + std::to_string(seed);
-    if (!ex.herd_out.empty()) {
-      herd_export_one(p, tcfg, trial_name, ex.herd_out);
+    if (!ex.herd_out.empty() &&
+        !herd_export_one(p, tcfg, trial_name, ex.herd_out)) {
+      ++export_failed;
     }
     if (ex.cross_backend) {
       std::string detail;
@@ -724,6 +747,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cdsspec-fuzz: cannot write '%s': %s\n",
                    metrics_out.c_str(), err.c_str());
     }
+  }
+  if (export_failed > 0) {
+    std::fprintf(stderr, "cdsspec-fuzz: --herd-out: %llu export(s) failed\n",
+                 static_cast<unsigned long long>(export_failed));
+    return kExitUsage;
   }
   return (repros.empty() && cross_disagreed == 0) ? kExitAgreed
                                                   : kExitDisagreed;
