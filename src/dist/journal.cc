@@ -22,7 +22,7 @@ namespace cds::dist {
 
 namespace {
 
-constexpr const char* kMagic = "cdsspec-journal v2";
+constexpr const char* kMagic = "cdsspec-journal v3";
 
 std::string with_crc(std::string body) {
   char suffix[16];

@@ -15,18 +15,21 @@
 // Format (line-oriented; one record per line; `<esc>` = harness
 // escape_line, so multi-line payloads ride on a single line):
 //
-//   cdsspec-journal v2
+//   cdsspec-journal v3
 //   run epoch=<e> shards=<n> planhash=<8hex> config=<fingerprint> bench=<esc> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
-//   result shard=<i> attempt=<id> payload=<esc shard-result v4 text> #crc=<8hex>
+//   result shard=<i> attempt=<id> payload=<esc shard-result v5 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
 //   failed shard=<i> attempt=<id> reason=<esc> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
 //
 // v2: the run record carries the config fingerprint as text
 // (mc::render_config_fingerprint, which since v2 includes the budgets), so
-// a refused resume can name the flag that differs. A v1 journal fails the
-// magic check and is set aside like any damaged header.
+// a refused resume can name the flag that differs. v3: the results and
+// mints embed choice lists, and rf-mode trees gained kRevisit choices in
+// place of the blind wait, so an older rf journal no longer replays. A
+// v1 or v2 journal fails the magic check and is set aside like any
+// damaged header.
 //
 // Every record carries a CRC-32 of its own body; a torn or corrupted
 // tail (power loss mid-append, bit rot) is detected on load, set aside
@@ -66,7 +69,7 @@ struct JournalRecord {
   std::uint64_t attempt = 0;  // 0 = local fork-pool path (no lease)
   std::uint64_t count = 0;    // kMint: sub-shards appended
 
-  // kResult: the raw shard-result v4 text exactly as the worker sent it
+  // kResult: the raw shard-result v5 text exactly as the worker sent it
   // (pre-normalization, so replay re-mints preempted shards' sub-shards
   // from the journaled frontier). kFailed: the failure reason.
   std::string payload;

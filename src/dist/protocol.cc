@@ -160,7 +160,7 @@ bool parse_control_line(const std::string& line, ControlLine* out,
 // ---------------------------------------------------------------------------
 
 std::string render_assignment(const Assignment& a) {
-  std::string s = "shard-assign v2\n";
+  std::string s = "shard-assign v3\n";
   s += "id " + std::to_string(a.shard_id) + "\n";
   s += "bench " + escape_line(a.bench) + "\n";
   const mc::Config& e = a.engine;
@@ -213,7 +213,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   };
   std::string why;
   const std::string* l = next();
-  if (l == nullptr || *l != "shard-assign v2") {
+  if (l == nullptr || *l != "shard-assign v3") {
     return fail("not a shard assignment (or a stale wire version)");
   }
   l = next();

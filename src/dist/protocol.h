@@ -9,12 +9,12 @@
 //   worker -> coordinator
 //     hello cdsspec-dist v1 pid=<pid>
 //     hb <shard_id>
-//     result <shard_id> <nbytes>\n<nbytes of shard-result v4 text>
+//     result <shard_id> <nbytes>\n<nbytes of shard-result v5 text>
 //     failed <shard_id> <escaped reason>
 //
 //   coordinator -> worker
 //     welcome cdsspec-dist v1 hb_us=<heartbeat us> epoch=<incarnation>
-//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v2 text>
+//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v3 text>
 //     steal <shard_id>
 //     quit
 //
@@ -28,8 +28,10 @@
 // bit-exactly: the benchmark key, the unit (test index, subtree prefix,
 // pre-derived seed and sampling budget), and the tree-shaping and budget
 // configuration. v2 adds the explore mode (`explore=`): a v1 worker ran
-// schedule mode on an rf plan. Parsing is strict: unknown keys, missing
-// keys, bad counts, truncation, or a v1 payload reject the whole message
+// schedule mode on an rf plan. v3: the subtree prefix may hold kRevisit
+// choices ('V'), which replaced rf mode's wait alternative, so an older
+// rf prefix names a different tree. Parsing is strict: unknown keys,
+// missing keys, bad counts, truncation, or an older payload reject the whole message
 // with a line/token diagnostic and leave the output object untouched.
 #ifndef CDS_DIST_PROTOCOL_H
 #define CDS_DIST_PROTOCOL_H

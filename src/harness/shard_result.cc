@@ -41,7 +41,7 @@ std::string unescape_line(const std::string& s) {
 
 std::string render_shard_result(const RunResult& r) {
   const mc::ExplorationStats& m = r.mc;
-  std::string s = "shard-result v4\n";
+  std::string s = "shard-result v5\n";
   s += "stats executions=" + std::to_string(m.executions) +
        " feasible=" + std::to_string(m.feasible) +
        " pruned_bound=" + std::to_string(m.pruned_bound) +
@@ -182,7 +182,7 @@ bool parse_shard_result(const std::string& text, ShardResult* out,
     return false;
   };
   const std::string* l = next();
-  if (l == nullptr || *l != "shard-result v4") {
+  if (l == nullptr || *l != "shard-result v5") {
     return fail("not a shard result (or a stale wire version)");
   }
   l = next();

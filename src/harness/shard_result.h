@@ -5,7 +5,7 @@
 // multi-line payloads (violation details, spec reports) are escaped onto
 // single lines so the whole message parses line-by-line:
 //
-//   shard-result v4
+//   shard-result v5
 //   stats executions=.. feasible=.. ... exhausted=0|1 preempted=0|1 verdict=0|1|2
 //   spec checked=.. inadmissible=.. ... r_cycle=0|1
 //   violations <n>
@@ -30,9 +30,11 @@
 // Complete shards always carry `preempted=0` and an empty frontier.
 // v4 adds the rf-mode class counters (rf_classes, rf_infeasible) to the
 // stats line; they merge by summation, so a --jobs/--dist-workers run
-// reports class counts bit-identical to a serial run.
+// reports class counts bit-identical to a serial run. v5: violation
+// trails and the frontier may hold kRevisit choices ('V'), which replaced
+// rf mode's wait alternative, so an older rf result indexes another tree.
 //
-// Parsing is strict-versioned: a stale v1/v2/v3 result (say, in a journal
+// Parsing is strict-versioned: a stale v1-v4 result (say, in a journal
 // written by an older build) is treated as corrupt (shard recomputed or
 // crashed) rather than silently merged with missing sections.
 #ifndef CDS_HARNESS_SHARD_RESULT_H

@@ -33,14 +33,14 @@ enum class ExploreMode : std::uint8_t {
   kSchedule = 0,
   // Reads-from equivalence (Tunç et al.): non-seq_cst atomic loads never
   // branch the scheduler. They execute greedily at their earliest
-  // placement and branch only on their reads-from assignment, where a
-  // trailing "wait for the next same-location write" alternative stands in
-  // for every later placement. Each completed execution is the
-  // representative of one rf equivalence class; executions whose wait
-  // choices are never satisfied are infeasible classes, pruned and counted
-  // separately (ExplorationStats::rf_infeasible). Behavior sets, verdicts
-  // and per-class counters are identical to kSchedule's; only the number
-  // of explored executions shrinks.
+  // placement and branch only on the messages that exist; a message
+  // written later reaches them through a store-driven revisit (TruSt's
+  // backward revisit, mc/revisit.h), a kRevisit choice at the store. Each
+  // completed execution is the representative of one rf equivalence
+  // class; every execution ends as a representative or an ordinary prune
+  // (ExplorationStats::rf_infeasible stays 0). Behavior sets and verdicts
+  // are identical to kSchedule's; only the number of explored executions
+  // shrinks.
   kRf,
 };
 

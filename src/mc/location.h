@@ -34,6 +34,10 @@ struct Message {
   // atomic; loads observing it trigger the built-in uninitialized-load
   // check, as in CDSChecker.
   bool uninit = false;
+  // rf mode (mc/revisit.h): the step that wrote the message (-1 for the
+  // initial value) and its dependency clock as of the write.
+  std::int32_t rf_step = -1;
+  std::uint32_t rf_clock = 0xffffffffu;
 };
 
 // A live release-sequence head: a release-store (or release-fence-promoted

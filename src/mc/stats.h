@@ -25,7 +25,9 @@ struct ExplorationStats {
   // schedule-independent per subtree, so sharded merges stay bit-identical
   // to serial runs.
   std::uint64_t rf_classes = 0;     // feasible rf-class representatives
-  std::uint64_t rf_infeasible = 0;  // wait-starved (infeasible) rf classes
+  // Always 0 since store-driven revisits replaced the blind wait; kept
+  // because reports and result formats carry it.
+  std::uint64_t rf_infeasible = 0;
   bool hit_execution_cap = false;
   bool stopped_early = false;
   double seconds = 0.0;

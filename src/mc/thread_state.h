@@ -8,13 +8,15 @@
 
 namespace cds::mc {
 
+// Scheduling status. A load never blocks: in rf mode a message written
+// later reaches it through a store-driven revisit (mc/revisit.h), which
+// re-runs the execution instead of parking the reader.
 enum class ThreadStatus : std::uint8_t {
   kAbsent,        // slot unused this execution
   kRunnable,
   kYielded,       // called yield(); deprioritized until another thread stores
   kBlockedJoin,   // waiting for a thread to finish
   kBlockedMutex,  // waiting for a mutex
-  kBlockedRead,   // rf mode: load chose to wait for a not-yet-written message
   kDone,
 };
 

@@ -73,13 +73,24 @@ bool take_keyword(const std::string& line, const char* key, std::string* rest) {
   return true;
 }
 
+char choice_letter(ChoiceKind k) {
+  switch (k) {
+    case ChoiceKind::kSchedule: return 'S';
+    case ChoiceKind::kReadsFrom: return 'R';
+    case ChoiceKind::kRevisit: return 'V';
+  }
+  return '?';
+}
+
 bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
                       std::string* err) {
-  // "S <chosen>/<num>" or "R <chosen>/<num>"
-  if (text.size() < 3 || (text[0] != 'S' && text[0] != 'R') || text[1] != ' ') {
+  // "S <chosen>/<num>", "R <chosen>/<num>" or "V <chosen>/<num>"
+  if (text.size() < 3 || (text[0] != 'S' && text[0] != 'R' && text[0] != 'V') ||
+      text[1] != ' ') {
     return fail_at(err, lineno,
                    "malformed choice '" + text +
-                       "' (expected 'S <chosen>/<num>' or 'R <chosen>/<num>')");
+                       "' (expected 'S <chosen>/<num>', 'R <chosen>/<num>' or "
+                       "'V <chosen>/<num>')");
   }
   std::size_t slash = text.find('/', 2);
   if (slash == std::string::npos) {
@@ -102,7 +113,9 @@ bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
                        std::to_string(chosen) + " out of range [0, " +
                        std::to_string(num) + ")");
   }
-  c->kind = text[0] == 'S' ? ChoiceKind::kSchedule : ChoiceKind::kReadsFrom;
+  c->kind = text[0] == 'S'   ? ChoiceKind::kSchedule
+            : text[0] == 'R' ? ChoiceKind::kReadsFrom
+                             : ChoiceKind::kRevisit;
   c->chosen = static_cast<std::uint16_t>(chosen);
   c->num = static_cast<std::uint16_t>(num);
   return true;
@@ -178,7 +191,7 @@ std::string render_config_fingerprint(const Config& cfg) {
 std::string render_choices(const std::vector<Choice>& v) {
   std::ostringstream os;
   for (const Choice& c : v) {
-    os << (c.kind == ChoiceKind::kSchedule ? 'S' : 'R') << ' ' << c.chosen
+    os << choice_letter(c.kind) << ' ' << c.chosen
        << '/' << c.num << '\n';
   }
   return os.str();

@@ -10,7 +10,7 @@
 // determinism assertion promoted to a runtime divergence check.
 //
 // Format (line-oriented, '#' starts a comment, order fixed):
-//   cdsspec-trail v2
+//   cdsspec-trail v3
 //   test msqueue#2
 //   seed 11400714819323198485
 //   backend stress                       # optional: "model" (default) or
@@ -24,6 +24,7 @@
 //   choices 3
 //   S 1/2                                # schedule: chose 1 of 2
 //   R 0/3                                # reads-from: chose 0 of 3
+//   V 1/2                                # revisit (rf mode): chose 1 of 2
 //   S 0/2
 //   end
 #ifndef CDS_MC_TRACE_H
@@ -42,7 +43,10 @@ struct TrailFile {
   // sampling, changing every random-mode choice stream; v1 trails recorded
   // from sampled executions would silently replay a different schedule, so
   // the version gates them out.
-  static constexpr int kVersion = 2;
+  // v3: rf mode replaced the blind "wait" alternative of kReadsFrom choices
+  // with store-driven kRevisit choices ('V'); an older rf trail indexes a
+  // different tree.
+  static constexpr int kVersion = 3;
 
   // Identity: which test body this trail drives ("<benchmark>#<index>" for
   // registry benchmarks, "litmus" for fuzzer programs).
@@ -70,8 +74,8 @@ struct TrailFile {
   std::string inject_site;
 
   // Exploration mode the trail was recorded under. rf-mode trails carry
-  // kReadsFrom choices with a trailing "wait" alternative and schedule
-  // trails never do, so replaying under the wrong mode desynchronizes;
+  // kRevisit choices and branch differently on loads, and schedule trails
+  // do neither, so replaying under the wrong mode desynchronizes;
   // rendered as an optional "explore rf" line (absent for the default
   // schedule mode, keeping pre-rf trails parseable unchanged).
   ExploreMode explore = ExploreMode::kSchedule;

@@ -143,7 +143,7 @@ TEST(Journal, CrcCatchesAnySingleCorruptedByte) {
 TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
   const std::string path = tmp_path("torn.journal");
   const std::string qpath = path + ".quarantined";
-  const std::string magic = "cdsspec-journal v2\n";
+  const std::string magic = "cdsspec-journal v3\n";
   const std::string good1 = dist::render_journal_record(run_record());
   const std::string good2 = dist::render_journal_record(result_record());
   dist::JournalRecord last;
@@ -187,7 +187,7 @@ TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
 
 TEST(Journal, CorruptRecordTruncatesBackToLastGoodRecord) {
   const std::string path = tmp_path("corrupt.journal");
-  const std::string magic = "cdsspec-journal v2\n";
+  const std::string magic = "cdsspec-journal v3\n";
   const std::string good = dist::render_journal_record(run_record());
   std::string bad = dist::render_journal_record(result_record());
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);

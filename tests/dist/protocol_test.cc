@@ -199,14 +199,17 @@ TEST(DistAssignment, RoundTripsEveryTreeShapingConfigField) {
 }
 
 TEST(DistAssignment, StaleV1PayloadIsRejected) {
-  std::string text = dist::render_assignment(sample_assignment());
-  text.replace(0, text.find('\n'), "shard-assign v1");
-  Assignment out;
-  out.bench = "untouched";
-  std::string err;
-  EXPECT_FALSE(dist::parse_assignment(text, &out, &err));
-  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
-  EXPECT_EQ(out.bench, "untouched");
+  // v2 prefixes may name rf trees with the old wait alternative.
+  for (const char* old : {"shard-assign v1", "shard-assign v2"}) {
+    std::string text = dist::render_assignment(sample_assignment());
+    text.replace(0, text.find('\n'), old);
+    Assignment out;
+    out.bench = "untouched";
+    std::string err;
+    EXPECT_FALSE(dist::parse_assignment(text, &out, &err)) << old;
+    EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+    EXPECT_EQ(out.bench, "untouched");
+  }
 }
 
 TEST(DistAssignment, EveryTruncationIsRejectedWithALineDiagnostic) {

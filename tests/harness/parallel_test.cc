@@ -546,9 +546,15 @@ TEST(ParallelStealSlow, CappedRunsMergeAsIfNeverSplit) {
   const auto* cl = harness::find_benchmark("chase-lev-deque");
   ASSERT_NE(cl, nullptr);
   const harness::Benchmark b = single_test(*cl, 0);
-  harness::RunOptions capped;
-  capped.engine.explore = mc::ExploreMode::kRf;
-  capped.engine.max_executions = 20000;
+  harness::RunOptions generous;
+  generous.engine.explore = mc::ExploreMode::kRf;
+  generous.engine.max_executions = 1000000;
+  const harness::RunResult serial = harness::run_benchmark(b, generous);
+  ASSERT_TRUE(serial.mc.exhausted);
+  // A cap the largest of the four planned shards reaches, taken from the
+  // uncapped size so it keeps biting whatever the tree's size.
+  harness::RunOptions capped = generous;
+  capped.engine.max_executions = serial.mc.executions / 8;
   harness::ParallelOptions one;
   one.jobs = 1;
   one.max_shards = 4;
@@ -566,9 +572,6 @@ TEST(ParallelStealSlow, CappedRunsMergeAsIfNeverSplit) {
   expect_bit_identical(unsplit.merged, split.merged);
   expect_same_records(unsplit.merged, split.merged);
 
-  harness::RunOptions generous = capped;
-  generous.engine.max_executions = 1000000;
-  const harness::RunResult serial = harness::run_benchmark(b, generous);
   const harness::ParallelRunResult stolen =
       harness::run_benchmark_parallel(b, generous, four);
   EXPECT_GT(stolen.steals, 0u);

@@ -1,4 +1,4 @@
-// Shard-result wire (v4): render/parse round trip including the rf-mode
+// Shard-result wire (v5): render/parse round trip including the rf-mode
 // class counters, strict rejection of stale wire versions, and the
 // merge-by-summation property the --jobs/--dist mergers rely on for
 // bit-identical class counts.
@@ -39,7 +39,7 @@ harness::RunResult full_result() {
 TEST(ShardResult, RoundTripCarriesRfCounters) {
   harness::RunResult r = full_result();
   std::string wire = harness::render_shard_result(r);
-  EXPECT_EQ(wire.rfind("shard-result v4", 0), 0u) << wire;
+  EXPECT_EQ(wire.rfind("shard-result v5", 0), 0u) << wire;
   harness::ShardResult back;
   std::string err;
   ASSERT_TRUE(harness::parse_shard_result(wire, &back, &err)) << err;
@@ -58,7 +58,7 @@ TEST(ShardResult, StaleWireVersionsAreRejected) {
   // merge with the rf counters silently missing.
   std::string wire = harness::render_shard_result(full_result());
   for (const char* old : {"shard-result v1", "shard-result v2",
-                          "shard-result v3"}) {
+                          "shard-result v3", "shard-result v4"}) {
     std::string stale = wire;
     stale.replace(0, 15, old);
     harness::ShardResult back;

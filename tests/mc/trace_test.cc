@@ -143,13 +143,13 @@ TEST(Trace, EveryTruncationIsRejectedWithActionableError) {
 
 TEST(Trace, VersionMismatchNamesBothVersions) {
   std::string text = render_trail(full_trail());
-  text.replace(text.find("v2"), 2, "v9");
+  text.replace(text.find("v3"), 2, "v9");
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail(text, &back, &err));
   EXPECT_NE(err.find("unsupported .trail version v9"), std::string::npos)
       << err;
-  EXPECT_NE(err.find("v2"), std::string::npos) << err;
+  EXPECT_NE(err.find("v3"), std::string::npos) << err;
 }
 
 TEST(Trace, WrongMagicIsRejected) {

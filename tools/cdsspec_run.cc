@@ -18,7 +18,7 @@
 // Flags: --explore schedule|rf (branch on scheduler choices — the default —
 //            or on reads-from classes: one representative execution per
 //            (rf,mo,sc) class, typically far fewer executions for the same
-//            behavior set; see mc/rf_explore.h),
+//            behavior set; see mc/revisit.h),
 //        --cap N (execution cap), --stale N (stale-read bound),
 //        --timeout SECS (wall-clock budget; degrades to sampling),
 //        --mem-cap MB (memory budget), --seed N (RNG seed),
@@ -329,8 +329,8 @@ void print_result(const cds::harness::RunResult& r, bool reports) {
       static_cast<unsigned long long>(r.mc.engine_fatal_execs));
   if (r.mc.rf_classes > 0 || r.mc.rf_infeasible > 0) {
     // rf mode only: each class is one representative execution of a
-    // distinct (rf,mo,sc) equivalence class; infeasible counts wait
-    // branches no later write ever satisfied.
+    // distinct (rf,mo,sc) equivalence class. rf-infeasible stays 0: a
+    // later write reaches a load through a store-driven revisit.
     std::printf("rf-classes=%llu rf-infeasible=%llu\n",
                 static_cast<unsigned long long>(r.mc.rf_classes),
                 static_cast<unsigned long long>(r.mc.rf_infeasible));
