@@ -148,5 +148,29 @@ TEST(RfEquivalenceSweep, FiftyFreshSeedsMatchAcrossModes) {
   }
 }
 
+// Larger programs: four threads, up to twelve operations. A closure that
+// missed seq_cst read-floor order lost behaviours on trials 1037, 2035,
+// 2063, 2397 and 2941 of this campaign (rf_sc_read_floor.litmus is the
+// minimized repro), which the three-thread sweep above never reached.
+TEST(RfEquivalenceSweep, FourThreadProgramsMatchAcrossModes) {
+  const std::uint64_t kBase = 4242;
+  for (std::uint64_t trial = 0; trial < 3000; ++trial) {
+    fuzz::GenParams gp;
+    gp.sc_only = trial % 2 == 0;
+    gp.max_threads = 4;
+    gp.max_total_ops = 12;
+    std::uint64_t seed = fuzz::trial_seed(kBase, trial);
+    Program p = fuzz::generate(gp, seed);
+    OracleConfig cfg;
+    cfg.seed = seed;
+    OracleConfig rf = cfg;
+    rf.explore = mc::ExploreMode::kRf;
+    McBehaviors s = fuzz::mc_behaviors(p, cfg);
+    McBehaviors r = fuzz::mc_behaviors(p, rf);
+    if (!s.exhausted || !r.exhausted) continue;
+    EXPECT_EQ(s.behaviors, r.behaviors) << "seed " << seed << ": modes disagree";
+  }
+}
+
 }  // namespace
 }  // namespace cds
