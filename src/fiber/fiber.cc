@@ -78,6 +78,35 @@ std::size_t round_up_to_page(std::size_t n) {
   return (n + p - 1) / p * p;
 }
 
+// Bytes of one stack mapping: the guard plus the usable stack.
+std::size_t stack_map_bytes() {
+  return round_up_to_page(Fiber::kGuardSize) +
+         round_up_to_page(Fiber::kStackSize);
+}
+
+// Stack mappings (guard included) of destroyed fibers, kept per OS thread
+// for the next fiber: an Engine is built per exploration, and mapping and
+// protecting its stacks afresh each time cost three system calls per
+// stack. All mappings have one size, so any can serve any fiber. Past the
+// bound, a destroyed fiber unmaps its stack.
+constexpr std::size_t kStackCacheSlots = 8;
+// Set once the thread's cache is destroyed (thread exit, or process exit
+// for the main thread); fibers destroyed after that unmap directly.
+thread_local bool t_stack_cache_closed = false;
+struct StackCache {
+  char* maps[kStackCacheSlots] = {};
+  std::size_t count = 0;
+
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    while (count > 0) ::munmap(maps[--count], stack_map_bytes());
+    t_stack_cache_closed = true;
+  }
+};
+thread_local StackCache t_stack_cache;
+
 // What cds_fiber_switch pops when it switches into a fresh fiber, lowest
 // address first.
 struct FirstFrame {
@@ -96,12 +125,21 @@ void Fiber::set_fallthrough_handler(void (*handler)(Fiber&)) {
 }
 
 Fiber::~Fiber() {
-  if (map_ != nullptr) ::munmap(map_, map_bytes_);
+  if (map_ == nullptr) return;
+  if (!t_stack_cache_closed && t_stack_cache.count < kStackCacheSlots) {
+    t_stack_cache.maps[t_stack_cache.count++] = map_;
+  } else {
+    ::munmap(map_, map_bytes_);
+  }
 }
 
 void Fiber::allocate_stack() {
   guard_bytes_ = round_up_to_page(kGuardSize);
-  map_bytes_ = guard_bytes_ + round_up_to_page(kStackSize);
+  map_bytes_ = stack_map_bytes();
+  if (!t_stack_cache_closed && t_stack_cache.count > 0) {
+    map_ = t_stack_cache.maps[--t_stack_cache.count];
+    return;
+  }
   void* m = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (m != MAP_FAILED && ::mprotect(m, guard_bytes_, PROT_NONE) == 0) {

@@ -27,7 +27,10 @@
 // guard instead of silently corrupting a neighboring allocation; the
 // engine's crash containment turns that fault into a diagnosed violation
 // (see guard_contains()). When mmap is unavailable the stack falls back to
-// a plain heap allocation without a guard.
+// a plain heap allocation without a guard. A destroyed fiber hands its
+// mapping, guard included, to a small per-OS-thread cache that the next
+// fiber's stack is taken from, so building an Engine per exploration does
+// not map and protect its stacks afresh each time.
 //
 // Under AddressSanitizer every switch is announced through the sanitizer's
 // fiber hooks, and reset() unpoisons the reused stack: an abandoned fiber's
@@ -67,7 +70,8 @@ class Fiber {
   Fiber& operator=(Fiber&&) = delete;
 
   // (Re)arms the fiber with an entry function. The stack is allocated once
-  // and reused across executions.
+  // (from the per-thread cache when it holds one) and reused across
+  // executions.
   void reset(std::function<void()> entry);
 
   // Switches from `from` (which must be the currently running fiber) into

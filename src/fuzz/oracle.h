@@ -40,6 +40,23 @@ using BehaviorSet = std::set<std::string>;
     const std::vector<std::uint64_t>& obs,
     const std::vector<std::uint64_t>& finals);
 
+// Execution listener that adds the behavior of every completed execution
+// of a Program::test_fn(obs) body to `out`. It formats into a buffer it
+// keeps, so it allocates only for a behavior the set does not hold yet.
+class BehaviorCollector : public mc::ExecutionListener {
+ public:
+  BehaviorCollector(const std::vector<std::uint64_t>* obs, int locations,
+                    BehaviorSet* out);
+  bool on_execution_complete(mc::Engine& e) override;
+
+ private:
+  const std::vector<std::uint64_t>* obs_;
+  int locations_;
+  BehaviorSet* out_;
+  std::vector<std::uint64_t> finals_;
+  std::string text_;
+};
+
 struct OracleConfig {
   // Safety caps on the engine runs; a program that exceeds them is
   // reported as skipped (inconclusive), never as agreement.

@@ -1,5 +1,6 @@
 #include "fuzz/program.h"
 
+#include <cassert>
 #include <cstdio>
 #include <sstream>
 
@@ -225,6 +226,8 @@ bool Program::parse(const std::string& text, Program* out, std::string* err) {
 }
 
 mc::TestFn Program::test_fn(std::vector<std::uint64_t>* obs) const {
+  assert(threads() <= kMaxThreads && locations <= kMaxLocations &&
+         "test_fn needs a program that passes validate()");
   // Slot layout: thread-major, program order within a thread.
   std::vector<int> base(ops.size() + 1, 0);
   for (std::size_t t = 0; t < ops.size(); ++t) {
@@ -271,11 +274,11 @@ mc::TestFn Program::test_fn(std::vector<std::uint64_t>* obs) const {
         }
       }
     };
-    std::vector<int> tids;
+    int tids[kMaxThreads];
     for (std::size_t t = 0; t < p.ops.size(); ++t) {
-      tids.push_back(x.spawn([&run_thread, t] { run_thread(t); }));
+      tids[t] = x.spawn([&run_thread, t] { run_thread(t); });
     }
-    for (int tid : tids) x.join(tid);
+    for (std::size_t t = 0; t < p.ops.size(); ++t) x.join(tids[t]);
   };
 }
 

@@ -52,6 +52,16 @@ struct ReleaseSeqHead {
 struct Location {
   explicit Location(const char* nm) : name(nm) {}
 
+  // Re-arms a slot kept from an earlier execution as a fresh location; the
+  // history and release-sequence storage stay allocated for reuse.
+  void reuse(const char* nm) {
+    name = nm;
+    history.clear();
+    sc_write_floor = 0;
+    sc_read_floor = 0;
+    rs_heads.clear();
+  }
+
   const char* name;
   std::vector<Message> history;
   // Largest timestamp written by a seq_cst store / observed by a seq_cst

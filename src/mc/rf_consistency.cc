@@ -9,7 +9,8 @@ void RfConsistencyChecker::reset() {
   tid_of_.push_back(-1);  // event 0: the shared init pseudo-store
   edges_.clear();
   last_of_thread_.clear();
-  writes_at_.clear();
+  // The per-location vectors keep their storage for the next execution.
+  for (std::vector<std::uint32_t>& w : writes_at_) w.clear();
   last_sc_ = 0;
 }
 
@@ -55,28 +56,27 @@ void RfConsistencyChecker::on_read(int tid, std::uint32_t loc,
 
 void RfConsistencyChecker::on_fence(int tid) { (void)new_event(tid, true); }
 
-bool RfConsistencyChecker::validate(std::string* why) const {
+bool RfConsistencyChecker::validate(std::string* why) {
   const auto n = static_cast<std::uint32_t>(tid_of_.size());
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> head(n, 0xffffffffu);
-  std::vector<std::uint32_t> next(edges_.size(), 0xffffffffu);
+  indegree_.assign(n, 0);
+  head_.assign(n, 0xffffffffu);
+  next_.assign(edges_.size(), 0xffffffffu);
   for (std::size_t i = 0; i < edges_.size(); ++i) {
-    ++indegree[edges_[i].to];
-    next[i] = head[edges_[i].from];
-    head[edges_[i].from] = static_cast<std::uint32_t>(i);
+    ++indegree_[edges_[i].to];
+    next_[i] = head_[edges_[i].from];
+    head_[edges_[i].from] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint32_t> ready;
-  ready.reserve(n);
+  ready_.clear();
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (indegree[v] == 0) ready.push_back(v);
+    if (indegree_[v] == 0) ready_.push_back(v);
   }
   std::uint32_t ordered = 0;
-  while (!ready.empty()) {
-    std::uint32_t v = ready.back();
-    ready.pop_back();
+  while (!ready_.empty()) {
+    std::uint32_t v = ready_.back();
+    ready_.pop_back();
     ++ordered;
-    for (std::uint32_t e = head[v]; e != 0xffffffffu; e = next[e]) {
-      if (--indegree[edges_[e].to] == 0) ready.push_back(edges_[e].to);
+    for (std::uint32_t e = head_[v]; e != 0xffffffffu; e = next_[e]) {
+      if (--indegree_[edges_[e].to] == 0) ready_.push_back(edges_[e].to);
     }
   }
   if (ordered == n) return true;

@@ -27,7 +27,8 @@ namespace cds::mc {
 
 class RfConsistencyChecker {
  public:
-  // Clears all recorded events and edges (call per execution).
+  // Clears all recorded events and edges (call per execution); the
+  // storage stays for the next execution.
   void reset();
 
   // A store appended message `ts` to `loc` (mo edge from the location's
@@ -41,7 +42,7 @@ class RfConsistencyChecker {
 
   // True iff the recorded constraint graph is acyclic, i.e. the class's
   // constraints admit a linearization. On failure `why` names the residue.
-  [[nodiscard]] bool validate(std::string* why) const;
+  [[nodiscard]] bool validate(std::string* why);
 
   [[nodiscard]] std::size_t event_count() const { return tid_of_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
@@ -64,6 +65,11 @@ class RfConsistencyChecker {
   // writes_at_[loc][ts] = event id of the store that produced message ts.
   std::vector<std::vector<std::uint32_t>> writes_at_;
   std::uint32_t last_sc_ = 0;  // most recent SC event, +1 (0 = none yet)
+  // validate()'s toposort scratch, reused across executions.
+  std::vector<std::uint32_t> indegree_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> ready_;
 };
 
 }  // namespace cds::mc

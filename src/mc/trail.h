@@ -174,6 +174,14 @@ class Trail {
     return true;
   }
 
+  // True iff advance() would find another leaf below the pinned prefix.
+  [[nodiscard]] bool has_next() const {
+    for (std::size_t i = v_.size(); i-- > pinned_;) {
+      if (v_[i].chosen + 1u < v_[i].num) return true;
+    }
+    return false;
+  }
+
   [[nodiscard]] std::size_t depth() const { return v_.size(); }
   [[nodiscard]] const std::vector<Choice>& raw() const { return v_; }
   // Choices the current execution has consumed so far.

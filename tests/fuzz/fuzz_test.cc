@@ -3,6 +3,7 @@
 // oracle on known litmus shapes, and the minimizer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -126,6 +127,20 @@ TEST(FuzzGenerator, SeedsYieldDistinctPrograms) {
     shapes.insert(fuzz::generate(gp, seed).to_string());
   }
   EXPECT_GT(shapes.size(), 30u) << "seeds should rarely collide";
+}
+
+// The serialized form is part of the corpus, golden and shard formats:
+// byte for byte, including the extremes of the value range and empty
+// lists.
+TEST(FuzzOracle, BehaviorStringBytes) {
+  const std::uint64_t max = UINT64_MAX;
+  EXPECT_EQ(fuzz::behavior_string({}, {}), "r:|f:");
+  EXPECT_EQ(fuzz::behavior_string({0}, {}), "r:0|f:");
+  EXPECT_EQ(fuzz::behavior_string({}, {0, 7}), "r:|f:0,7");
+  EXPECT_EQ(fuzz::behavior_string({max, 0, 42}, {max}),
+            "r:18446744073709551615,0,42|f:18446744073709551615");
+  EXPECT_EQ(fuzz::behavior_string({1, 10, 100}, {1000000, 0}),
+            "r:1,10,100|f:1000000,0");
 }
 
 TEST(FuzzOracle, InterleavingsOfStoreBuffering) {

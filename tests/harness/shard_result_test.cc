@@ -6,6 +6,8 @@
 
 #include <string>
 
+#include "ds/suite.h"
+#include "harness/runner.h"
 #include "harness/shard_result.h"
 
 namespace cds {
@@ -96,6 +98,34 @@ TEST(ShardResult, MergeSumsRfCountersExactly) {
   EXPECT_EQ(total.rf_classes, want_classes);
   EXPECT_EQ(total.rf_infeasible, want_infeasible);
   EXPECT_TRUE(total.exhausted);
+}
+
+// A unit whose only execution makes no choice (ms-queue test 3, one
+// thread) asked to stop after it: the engine reports the unit exhausted,
+// and its result survives the render/parse round trip. It used to report
+// preempted with an empty frontier, which the strict parser rejects, so a
+// --jobs run counted a crashed shard and an inconclusive row.
+TEST(ShardResult, StopRequestAfterLastExecutionRoundTrips) {
+  ds::register_all_benchmarks();
+  const harness::Benchmark* b = harness::find_benchmark("ms-queue");
+  ASSERT_NE(b, nullptr);
+  ASSERT_GT(b->tests.size(), 3u);
+  harness::RunOptions opts;
+  opts.engine.stop_request = [] { return true; };
+  const harness::RunResult r = harness::run_with_spec(b->tests[3], opts);
+  EXPECT_EQ(r.mc.executions, 1u);
+  EXPECT_FALSE(r.mc.preempted);
+  EXPECT_TRUE(r.mc.exhausted);
+
+  harness::ShardResult sr;
+  std::string why;
+  ASSERT_TRUE(harness::parse_shard_result(harness::render_shard_result(r),
+                                          &sr, &why))
+      << why;
+  EXPECT_FALSE(sr.stats.preempted);
+  EXPECT_TRUE(sr.stats.exhausted);
+  EXPECT_TRUE(sr.frontier.empty());
+  EXPECT_EQ(sr.stats.verdict, mc::Verdict::kVerifiedExhaustive);
 }
 
 }  // namespace

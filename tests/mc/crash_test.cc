@@ -215,6 +215,25 @@ TEST(Crash, FiberStackOverflowHitsGuardPageAndIsDiagnosed) {
       << "guard-page fault not attributed to the overflowing fiber: " << d;
 }
 
+// Fiber stacks outlive their Engine in a per-thread cache: the next
+// Engine's fibers run on the same mappings, and their guard pages still
+// turn an overflow into a diagnosed violation.
+TEST(Crash, StackOverflowDiagnosedOnReusedStacks) {
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("engine " + std::to_string(round));
+    mc::Engine e;
+    mc::ExplorationStats stats = e.explore([](mc::Exec& x) {
+      volatile char sink = 0;
+      int t = x.spawn([&sink] { (void)eat_stack(&sink, 0); });
+      x.join(t);
+    });
+    EXPECT_EQ(stats.crash_execs, 1u);
+    ASSERT_EQ(e.violations().size(), 1u);
+    const std::string& d = e.violations()[0].detail;
+    EXPECT_NE(d.find("stack overflow of T1"), std::string::npos) << d;
+  }
+}
+
 #endif  // __linux__ && !CDS_ASAN
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "mc/atomic.h"
 #include "mc/engine.h"
+#include "mc/shard.h"
 #include "mc/sync.h"
 #include "mc/var.h"
 
@@ -448,6 +449,63 @@ TEST(Engine, ManyThreadsSpawnJoin) {
     EXPECT_EQ(a->load(MemoryOrder::relaxed), 6);
   });
   EXPECT_GT(stats.feasible, 0u);
+}
+
+// A stop request preempts a subtree only while a leaf is left below the
+// pinned prefix; the subtree's last leaf ends it as exhausted. A preempted
+// result with nothing left used to fail its shard (an empty frontier
+// beside the preempted flag) and leave the verdict inconclusive.
+TEST(Engine, StopRequestOnOnlyExecutionReportsExhausted) {
+  Config cfg;
+  cfg.stop_request = [] { return true; };
+  Engine e(cfg);
+  const ExplorationStats s = e.explore([](Exec& x) {
+    auto* a = x.make<Atomic<int>>(0, "a");
+    a->store(1, MemoryOrder::release);
+    EXPECT_EQ(a->load(MemoryOrder::acquire), 1);
+  });
+  EXPECT_EQ(s.executions, 1u);
+  EXPECT_FALSE(s.preempted);
+  EXPECT_FALSE(s.stopped_early);
+  EXPECT_TRUE(s.exhausted);
+  EXPECT_TRUE(e.preempt_frontier().empty());
+  EXPECT_EQ(s.verdict, Verdict::kVerifiedExhaustive);
+}
+
+TEST(Engine, StopRequestOnLastLeafReportsExhausted) {
+  const TestFn two_leaves = [](Exec& x) {
+    auto* a = x.make<Atomic<int>>(0, "a");
+    const int t1 = x.spawn([a] { a->store(1, MemoryOrder::relaxed); });
+    const int t2 = x.spawn([a] { a->store(2, MemoryOrder::relaxed); });
+    x.join(t1);
+    x.join(t2);
+  };
+  for (ExploreMode mode : {ExploreMode::kSchedule, ExploreMode::kRf}) {
+    SCOPED_TRACE(to_string(mode));
+    Config cfg;
+    cfg.explore = mode;
+    {
+      Engine whole(cfg);
+      ASSERT_EQ(whole.explore(two_leaves).executions, 2u);
+    }
+    cfg.stop_request = [] { return true; };
+    Engine first(cfg);
+    const ExplorationStats s1 = first.explore(two_leaves);
+    ASSERT_TRUE(s1.preempted) << "the second leaf is left";
+    EXPECT_EQ(s1.executions, 1u);
+    const std::vector<std::vector<Choice>> rest =
+        split_remaining_frontier(0, first.preempt_frontier());
+    ASSERT_EQ(rest.size(), 1u);
+
+    Engine last(cfg);
+    last.set_subtree(rest[0]);
+    const ExplorationStats s2 = last.explore(two_leaves);
+    EXPECT_EQ(s2.executions, 1u);
+    EXPECT_FALSE(s2.preempted);
+    EXPECT_TRUE(s2.exhausted);
+    EXPECT_TRUE(last.preempt_frontier().empty());
+    EXPECT_EQ(s2.verdict, Verdict::kVerifiedExhaustive);
+  }
 }
 
 }  // namespace

@@ -49,6 +49,59 @@ TEST(Fiber, ResetReusesStack) {
   EXPECT_EQ(runs, 3);
 }
 
+// A destroyed fiber hands its stack mapping, guard included, to a
+// per-thread cache that serves the next fiber: stack_contains and
+// guard_contains hold on the reused stack as they did on the first.
+TEST(Fiber, ReusedStackKeepsItsBoundsAndGuard) {
+  Fiber sched;
+  sched.init_native();
+  // Take whatever the cache holds first, so the stack `first` leaves
+  // behind is the one `second` gets.
+  std::vector<std::unique_ptr<Fiber>> held;
+  for (int i = 0; i < 32; ++i) {
+    held.push_back(std::make_unique<Fiber>());
+    held.back()->reset([] {});
+  }
+  std::uintptr_t local = 0;
+  auto run = [&](Fiber* f) {
+    f->reset([&, f] {
+      volatile char c = 0;
+      local = reinterpret_cast<std::uintptr_t>(&c);
+      f->mark_finished();
+      sched.switch_to(*f);
+    });
+    f->switch_to(sched);
+  };
+  const auto at = [](std::uintptr_t a) {
+    return reinterpret_cast<const void*>(a);
+  };
+
+  auto first = std::make_unique<Fiber>();
+  run(first.get());
+  const std::uintptr_t first_local = local;
+  ASSERT_TRUE(first->stack_contains(at(first_local)));
+  // The stack's lowest byte, found page by page from the local; the guard
+  // sits right below it.
+  const std::uintptr_t page = 4096;
+  std::uintptr_t low = first_local & ~(page - 1);
+  while (first->stack_contains(at(low - page))) low -= page;
+  ASSERT_FALSE(first->stack_contains(at(low - 1)));
+  ASSERT_TRUE(first->guard_contains(at(low - 1)));
+  ASSERT_FALSE(first->guard_contains(at(low)));
+  first.reset();
+
+  auto second = std::make_unique<Fiber>();
+  run(second.get());
+  EXPECT_TRUE(second->stack_contains(at(first_local)))
+      << "the destroyed fiber's stack was not reused";
+  EXPECT_TRUE(second->stack_contains(at(local)));
+  EXPECT_TRUE(second->stack_contains(at(low)));
+  EXPECT_FALSE(second->stack_contains(at(low - 1)));
+  EXPECT_TRUE(second->guard_contains(at(low - 1)));
+  EXPECT_TRUE(second->guard_contains(at(low - Fiber::kGuardSize)));
+  EXPECT_FALSE(second->guard_contains(at(low)));
+}
+
 TEST(Fiber, ManyFibersRoundRobin) {
   Fiber sched;
   sched.init_native();

@@ -1,7 +1,11 @@
 // Unit tests for the support layer: clocks/views, arena, trail, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "mc/trail.h"
 #include "support/arena.h"
@@ -91,6 +95,130 @@ TEST(Timestamps, JoinCoversBothLattices) {
   EXPECT_EQ(a.vc.get(0), 4u);
   EXPECT_EQ(a.vc.get(1), 3u);
   EXPECT_EQ(a.view.get(7), 5u);
+}
+
+// BasicClock against a std::vector model over random operation sequences
+// whose indices cross the inline/heap boundary, with self-assignment and
+// moves. A moved-from clock is empty.
+TEST(VectorClock, MatchesVectorModelAcrossInlineBoundary) {
+  using Model = std::vector<std::uint32_t>;
+  const auto get = [](const Model& m, std::size_t i) {
+    return i < m.size() ? m[i] : 0u;
+  };
+  const auto grow = [](Model& m, std::size_t n) {
+    if (m.size() < n) m.resize(n, 0u);
+  };
+  const auto model_leq = [&](const Model& a, const Model& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] > get(b, i)) return false;
+    }
+    return true;
+  };
+  const std::size_t span = 3 * VectorClock::kInline;
+  const auto expect_same = [&](const VectorClock& c, const Model& m) {
+    ASSERT_EQ(c.stored_size(), m.size());
+    for (std::size_t i = 0; i < span + 2; ++i) ASSERT_EQ(c.get(i), get(m, i));
+    ASSERT_EQ(c.empty(), model_leq(m, Model{}));
+    if (c.stored_size() > VectorClock::kInline) {
+      ASSERT_GE(c.spilled_capacity(), c.stored_size());
+    }
+  };
+
+  constexpr std::size_t kClocks = 4;
+  support::Xorshift64 rng(2024);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<VectorClock> c(kClocks);
+    std::vector<Model> m(kClocks);
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t a = rng.below(kClocks);
+      const std::size_t b = rng.below(kClocks);
+      // Indices mostly inside the inline part, sometimes past it.
+      const std::size_t i =
+          rng.below(4) == 0 ? rng.below(span) : rng.below(VectorClock::kInline);
+      const auto v = static_cast<std::uint32_t>(rng.below(6));
+      switch (rng.below(12)) {
+        case 0:
+          c[a].set(i, v);
+          grow(m[a], i + 1);
+          m[a][i] = v;
+          break;
+        case 1:
+          c[a].raise(i, v);
+          grow(m[a], i + 1);
+          m[a][i] = std::max(m[a][i], v);
+          break;
+        case 2:
+          c[a].bump(i);
+          grow(m[a], i + 1);
+          ++m[a][i];
+          break;
+        case 3:
+          c[a].join(c[b]);
+          grow(m[a], m[b].size());
+          for (std::size_t k = 0; k < m[b].size(); ++k) {
+            m[a][k] = std::max(m[a][k], m[b][k]);
+          }
+          break;
+        case 4:
+          ASSERT_EQ(c[a].leq(c[b]), model_leq(m[a], m[b]));
+          ASSERT_EQ(c[a] == c[b], model_leq(m[a], m[b]) && model_leq(m[b], m[a]));
+          break;
+        case 5: {
+          const VectorClock& src = c[b];
+          c[a] = src;  // self-assignment when a == b
+          m[a] = m[b];
+          break;
+        }
+        case 6: {
+          VectorClock copy(c[b]);
+          expect_same(copy, m[b]);
+          c[a] = std::move(copy);
+          m[a] = m[b];
+          expect_same(copy, Model{});
+          break;
+        }
+        case 7: {
+          VectorClock moved(std::move(c[b]));
+          expect_same(moved, m[b]);
+          expect_same(c[b], Model{});
+          c[b] = moved;  // copy back into the moved-from clock
+          break;
+        }
+        case 8:
+          if (a != b) {
+            c[a] = std::move(c[b]);
+            m[a] = m[b];
+            m[b].clear();
+          } else {
+            VectorClock& alias = c[b];
+            c[a] = std::move(alias);  // self-move leaves the clock as it was
+          }
+          break;
+        case 9:
+          c[a].clear();
+          m[a].clear();
+          break;
+        case 10:
+          ASSERT_EQ(c[a].includes(i, v), get(m[a], i) >= v);
+          break;
+        default: {
+          // A clock that spilled keeps its heap storage through clear().
+          VectorClock wide;
+          wide.set(span - 1, v + 1);
+          const std::size_t cap = wide.spilled_capacity();
+          ASSERT_GE(cap, span);
+          wide.clear();
+          ASSERT_EQ(wide.spilled_capacity(), cap);
+          wide = c[a];
+          ASSERT_EQ(wide.spilled_capacity(), cap);
+          expect_same(wide, m[a]);
+          break;
+        }
+      }
+      expect_same(c[a], m[a]);
+      expect_same(c[b], m[b]);
+    }
+  }
 }
 
 TEST(Arena, AllocatesAlignedAndDistinct) {
