@@ -132,13 +132,15 @@ struct Config {
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
   // Cooperative preemption hook (work stealing): polled between DFS
-  // executions. When it returns true the engine stops after the execution
-  // it just tallied, marks the run preempted (stats.preempted), and
-  // records the last explored execution's trail as the preempt frontier —
-  // the unexplored remainder of the subtree is exactly the right-sibling
-  // subtrees of that trail (see mc::split_remaining_frontier), so a
-  // coordinator can hand the rest out as fresh shards. Null = never
-  // preempt (the default; the hot path is one null check).
+  // executions while the subtree has a leaf left. When it returns true the
+  // engine stops after the execution it just tallied, marks the run
+  // preempted (stats.preempted), and records the last explored
+  // execution's trail as the preempt frontier — the unexplored remainder
+  // of the subtree is exactly the right-sibling subtrees of that trail
+  // (see mc::split_remaining_frontier), so a coordinator can hand the
+  // rest out as fresh shards. The subtree's last leaf always ends the run
+  // as exhausted. Null = never preempt (the default; the hot path is one
+  // null check).
   std::function<bool()> stop_request;
 
   // ---- observability ----------------------------------------------------
