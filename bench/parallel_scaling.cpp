@@ -123,14 +123,9 @@ int main(int argc, char** argv) {
       b.spec = nullptr;
       b.tests.push_back(p.test_fn(&obs));
       cds::harness::RunOptions opts;
-      // Mirror the oracle path's engine config (fuzz::engine_config): the
-      // identity assertion below compares against the jobs=1 oracle run, so
-      // the dist workers must explore under the same stale bound and seed.
-      cds::fuzz::OracleConfig ocfg;
-      opts.engine.max_steps = ocfg.max_steps;
-      opts.engine.stale_read_bound = ocfg.stale_read_bound;
-      opts.engine.collect_trace = false;
-      opts.engine.seed = ocfg.seed;
+      // The identity assertion below compares against the jobs=1 oracle
+      // run, so the dist workers explore under the oracle's engine config.
+      opts.engine = cds::fuzz::engine_config(cds::fuzz::OracleConfig{}, false);
       cds::dist::DistOptions d;
       d.dist_workers = dist_workers;
       auto t0 = std::chrono::steady_clock::now();

@@ -15,6 +15,7 @@
 #include "dist/shard_table.h"
 #include "harness/parallel.h"
 #include "harness/shard_result.h"
+#include "inject/inject.h"
 #include "support/io.h"
 #include "support/rng.h"
 
@@ -321,6 +322,7 @@ struct Coordinator {
       asg.bench = b.name;
       asg.unit = table.unit(pick);
       asg.engine = opts.engine;
+      asg.inject_site = inject::active_site_name();
       asg.checker = opts.checker;
       const std::string payload = render_assignment(asg);
       table.mark_running(pick);

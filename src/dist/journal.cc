@@ -6,9 +6,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "mc/trace.h"
 #include "support/io.h"
+#include "support/record.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CDS_DIST_JOURNAL_POSIX 1
@@ -22,7 +25,37 @@ namespace cds::dist {
 
 namespace {
 
-constexpr const char* kMagic = "cdsspec-journal v3";
+constexpr const char* kMagic = "cdsspec-journal v4";
+
+constexpr const char* kVerbs[] = {"run",  "lease",  "result",
+                                  "mint", "failed", "done"};
+
+// Each record kind's fields (support/record.h). The run record's config
+// and checker values are whole rendered records, and result payloads and
+// failure reasons whole messages, each escaped into one token.
+std::vector<support::Field> fields(JournalRecord& r) {
+  switch (r.kind) {
+    case JournalRecord::Kind::kRun:
+      return {{"epoch", &r.epoch},     {"shards", &r.shards},
+              {"planhash", &r.plan_hash}, {"bench", &r.bench},
+              {"config", &r.config},   {"checker", &r.checker}};
+    case JournalRecord::Kind::kLease:
+      return {{"shard", &r.shard}, {"attempt", &r.attempt}};
+    case JournalRecord::Kind::kResult:
+      return {{"shard", &r.shard},
+              {"attempt", &r.attempt},
+              {"payload", &r.payload}};
+    case JournalRecord::Kind::kMint:
+      return {{"parent", &r.shard}, {"count", &r.count}};
+    case JournalRecord::Kind::kFailed:
+      return {{"shard", &r.shard},
+              {"attempt", &r.attempt},
+              {"reason", &r.payload}};
+    case JournalRecord::Kind::kDone:
+      return {{"verdict", &r.verdict}};
+  }
+  return {};
+}
 
 std::string with_crc(std::string body) {
   char suffix[16];
@@ -36,39 +69,10 @@ std::string with_crc(std::string body) {
 }  // namespace
 
 std::string render_journal_record(const JournalRecord& r) {
-  using harness::escape_line;
-  std::string body;
-  char hex[40];
-  switch (r.kind) {
-    case JournalRecord::Kind::kRun:
-      std::snprintf(hex, sizeof hex, "%08" PRIx32, r.plan_hash);
-      body = "run epoch=" + std::to_string(r.epoch) +
-             " shards=" + std::to_string(r.shards) + " planhash=" + hex +
-             " config=" + r.fingerprint + " bench=" + escape_line(r.bench);
-      break;
-    case JournalRecord::Kind::kLease:
-      body = "lease shard=" + std::to_string(r.shard) +
-             " attempt=" + std::to_string(r.attempt);
-      break;
-    case JournalRecord::Kind::kResult:
-      body = "result shard=" + std::to_string(r.shard) +
-             " attempt=" + std::to_string(r.attempt) +
-             " payload=" + escape_line(r.payload);
-      break;
-    case JournalRecord::Kind::kMint:
-      body = "mint parent=" + std::to_string(r.shard) +
-             " count=" + std::to_string(r.count);
-      break;
-    case JournalRecord::Kind::kFailed:
-      body = "failed shard=" + std::to_string(r.shard) +
-             " attempt=" + std::to_string(r.attempt) +
-             " reason=" + escape_line(r.payload);
-      break;
-    case JournalRecord::Kind::kDone:
-      body = "done verdict=" + std::to_string(r.verdict);
-      break;
-  }
-  return with_crc(std::move(body));
+  // The table binds mutable members; rendering only reads them.
+  const auto f = fields(const_cast<JournalRecord&>(r));
+  return with_crc(std::string(kVerbs[static_cast<int>(r.kind)]) + " " +
+                  support::render_fields(f));
 }
 
 bool parse_journal_record(const std::string& line, JournalRecord* out,
@@ -97,62 +101,20 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
   const std::string body = line.substr(0, cpos);
   if (support::crc32(body) != want) return fail("crc mismatch");
 
-  JournalRecord r;
-  unsigned long long a = 0, b = 0;
-  unsigned h1 = 0;
-  int pos = -1;
-  const char* s = body.c_str();
-  const int len = static_cast<int>(body.size());
-  if (std::sscanf(s, "run epoch=%llu shards=%llu planhash=%8x config=%n", &a,
-                  &b, &h1, &pos) == 3 &&
-      pos > 0) {
-    r.kind = JournalRecord::Kind::kRun;
-    r.epoch = a;
-    r.shards = b;
-    r.plan_hash = h1;
-    const auto at = static_cast<std::size_t>(pos);
-    const std::size_t sp = body.find(' ', at);
-    if (sp == std::string::npos || sp == at ||
-        body.compare(sp, 7, " bench=") != 0) {
-      return fail("run record without config and bench");
-    }
-    r.fingerprint = body.substr(at, sp - at);
-    r.bench = harness::unescape_line(body.substr(sp + 7));
-    if (r.bench.empty()) return fail("run record with empty bench");
-  } else if (std::sscanf(s, "lease shard=%llu attempt=%llu%n", &a, &b, &pos) ==
-                 2 &&
-             pos == len) {
-    r.kind = JournalRecord::Kind::kLease;
-    r.shard = a;
-    r.attempt = b;
-  } else if (std::sscanf(s, "result shard=%llu attempt=%llu payload=%n", &a,
-                         &b, &pos) == 2 &&
-             pos > 0) {
-    r.kind = JournalRecord::Kind::kResult;
-    r.shard = a;
-    r.attempt = b;
-    r.payload =
-        harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
-  } else if (std::sscanf(s, "mint parent=%llu count=%llu%n", &a, &b, &pos) ==
-                 2 &&
-             pos == len) {
-    r.kind = JournalRecord::Kind::kMint;
-    r.shard = a;
-    r.count = b;
-  } else if (std::sscanf(s, "failed shard=%llu attempt=%llu reason=%n", &a, &b,
-                         &pos) == 2 &&
-             pos > 0) {
-    r.kind = JournalRecord::Kind::kFailed;
-    r.shard = a;
-    r.attempt = b;
-    r.payload =
-        harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
-  } else if (std::sscanf(s, "done verdict=%llu%n", &a, &pos) == 1 &&
-             pos == len) {
-    r.kind = JournalRecord::Kind::kDone;
-    r.verdict = a;
-  } else {
+  const std::string_view rest(body);
+  const std::string_view verb = rest.substr(0, rest.find(' '));
+  const auto* k = std::find(std::begin(kVerbs), std::end(kVerbs), verb);
+  if (k == std::end(kVerbs) || verb.size() == rest.size()) {
     return fail("unknown or malformed record");
+  }
+  JournalRecord r;
+  r.kind = static_cast<JournalRecord::Kind>(k - std::begin(kVerbs));
+  std::string why;
+  if (!support::parse_fields(rest.substr(verb.size() + 1), fields(r), &why)) {
+    return fail(std::string(verb) + " record: " + why);
+  }
+  if (r.kind == JournalRecord::Kind::kRun && r.bench.empty()) {
+    return fail("run record with empty bench");
   }
   *out = std::move(r);
   return true;
@@ -161,32 +123,9 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
 std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units) {
   std::string s;
   for (const harness::ShardUnit& u : units) {
-    s += std::to_string(u.test_index);
-    s += ' ';
-    s += std::to_string(u.engine_seed);
-    s += ' ';
-    s += std::to_string(u.sample_executions);
-    s += '\n';
-    s += mc::render_choices(u.prefix);
+    s += support::render_record(u) + "\n" + mc::render_choices(u.prefix);
   }
   return support::crc32(s);
-}
-
-std::string journal_fingerprint_mismatch(const std::string& journal,
-                                         const std::string& run) {
-  if (journal == run) return "";
-  // Fields are comma-separated "key=value" tokens in a fixed order.
-  std::size_t j = 0, r = 0;
-  while (j < journal.size() && r < run.size()) {
-    const std::size_t je = std::min(journal.find(',', j), journal.size());
-    const std::size_t re = std::min(run.find(',', r), run.size());
-    const std::string jt = journal.substr(j, je - j);
-    const std::string rt = run.substr(r, re - r);
-    if (jt != rt) return jt + " in the journal, " + rt + " in this run";
-    j = je + 1;
-    r = re + 1;
-  }
-  return "'" + journal + "' in the journal, '" + run + "' in this run";
 }
 
 bool load_journal(const std::string& path, JournalReplay* out,

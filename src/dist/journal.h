@@ -12,24 +12,26 @@
 // function of the journaled frontier), so the resumed run's verdict and
 // merged counters are bit-identical to an uninterrupted one.
 //
-// Format (line-oriented; one record per line; `<esc>` = harness
-// escape_line, so multi-line payloads ride on a single line):
+// Format (line-oriented; one record per line). Each record body is a verb
+// and a codec record (support/record.h), so payloads and nested records
+// ride escaped in one token each:
 //
-//   cdsspec-journal v3
-//   run epoch=<e> shards=<n> planhash=<8hex> config=<fingerprint> bench=<esc> #crc=<8hex>
+//   cdsspec-journal v4
+//   run epoch=<e> shards=<n> planhash=<h> bench=<s> config=<record> checker=<record> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
-//   result shard=<i> attempt=<id> payload=<esc shard-result v5 text> #crc=<8hex>
+//   result shard=<i> attempt=<id> payload=<shard-result v6 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
-//   failed shard=<i> attempt=<id> reason=<esc> #crc=<8hex>
+//   failed shard=<i> attempt=<id> reason=<text> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
 //
-// v2: the run record carries the config fingerprint as text
-// (mc::render_config_fingerprint, which since v2 includes the budgets), so
-// a refused resume can name the flag that differs. v3: the results and
-// mints embed choice lists, and rf-mode trees gained kRevisit choices in
-// place of the blind wait, so an older rf journal no longer replays. A
-// v1 or v2 journal fails the magic check and is set aside like any
-// damaged header.
+// The run record's config and checker values are the rendered mc::Config
+// record (the injection site included) and SpecChecker::Options record,
+// so a --resume under any other value of any field is refused, naming the
+// first key that differs. v2 carried the config as a hand-written
+// fingerprint; v3 added kRevisit choices to results and mints; v4 makes
+// every record a codec record and carries the injection site and the
+// checker options. An older journal fails the magic check and is set
+// aside like any damaged header.
 //
 // Every record carries a CRC-32 of its own body; a torn or corrupted
 // tail (power loss mid-append, bit rot) is detected on load, set aside
@@ -61,15 +63,16 @@ struct JournalRecord {
   std::uint64_t epoch = 0;
   std::uint64_t shards = 0;     // planned shard count
   std::uint32_t plan_hash = 0;  // journal_plan_hash of the planned units
-  std::string fingerprint;      // mc::render_config_fingerprint (no spaces)
   std::string bench;
+  std::string config;   // the rendered mc::Config record
+  std::string checker;  // the rendered SpecChecker::Options record
 
   // kLease / kResult / kFailed (kMint: `shard` is the preempted parent).
   std::uint64_t shard = 0;
   std::uint64_t attempt = 0;  // 0 = local fork-pool path (no lease)
   std::uint64_t count = 0;    // kMint: sub-shards appended
 
-  // kResult: the raw shard-result v5 text exactly as the worker sent it
+  // kResult: the raw shard-result v6 text exactly as the worker sent it
   // (pre-normalization, so replay re-mints preempted shards' sub-shards
   // from the journaled frontier). kFailed: the failure reason.
   std::string payload;
@@ -88,11 +91,6 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
 // Deterministic digest of a shard plan: a resumed run re-plans and must
 // land on the identical partition before any journaled result is trusted.
 std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units);
-
-// "" when two config fingerprints agree; otherwise the first field that
-// differs, e.g. "cap=20000 in the journal, cap=10000 in this run".
-std::string journal_fingerprint_mismatch(const std::string& journal,
-                                         const std::string& run);
 
 struct JournalReplay {
   bool found = false;  // file existed with a valid magic header

@@ -9,12 +9,12 @@
 //   worker -> coordinator
 //     hello cdsspec-dist v1 pid=<pid>
 //     hb <shard_id>
-//     result <shard_id> <nbytes>\n<nbytes of shard-result v5 text>
+//     result <shard_id> <nbytes>\n<nbytes of shard-result v6 text>
 //     failed <shard_id> <escaped reason>
 //
 //   coordinator -> worker
 //     welcome cdsspec-dist v1 hb_us=<heartbeat us> epoch=<incarnation>
-//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v3 text>
+//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v4 text>
 //     steal <shard_id>
 //     quit
 //
@@ -25,14 +25,15 @@
 //
 // The assign payload carries everything a (possibly remote, freshly
 // started) worker needs to reproduce the coordinator's exploration tree
-// bit-exactly: the benchmark key, the unit (test index, subtree prefix,
-// pre-derived seed and sampling budget), and the tree-shaping and budget
-// configuration. v2 adds the explore mode (`explore=`): a v1 worker ran
-// schedule mode on an rf plan. v3: the subtree prefix may hold kRevisit
-// choices ('V'), which replaced rf mode's wait alternative, so an older
-// rf prefix names a different tree. Parsing is strict: unknown keys,
-// missing keys, bad counts, truncation, or an older payload reject the whole message
-// with a line/token diagnostic and leave the output object untouched.
+// bit-exactly: the shard id and benchmark key, the engine line (the
+// mc::Config record, the active --inject site included), the checker line
+// and the unit (test index, subtree prefix, pre-derived seed and sampling
+// budget). v2 added the explore mode; v3 kRevisit prefix choices ('V');
+// v4 made every line a codec record (support/record.h) and added the
+// injection site, without which a worker explored the unweakened program.
+// Parsing is strict: unknown, missing or repeated keys, bad counts,
+// truncation, or an older payload reject the whole message with a
+// line/token diagnostic and leave the output object untouched.
 #ifndef CDS_DIST_PROTOCOL_H
 #define CDS_DIST_PROTOCOL_H
 
@@ -96,6 +97,9 @@ struct Assignment {
   // Tree-shaping and budget knobs forwarded so a standalone worker
   // explores the exact same bounded tree as the coordinator planned.
   mc::Config engine;
+  // The injection site the coordinator runs under ("" for none); the
+  // worker arms exactly this site for the shard.
+  std::string inject_site;
   spec::SpecChecker::Options checker;
 };
 

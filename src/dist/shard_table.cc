@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <utility>
 
+#include "inject/inject.h"
 #include "mc/shard.h"
 #include "mc/trace.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace cds::dist {
@@ -75,7 +77,9 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
   planned.reserve(planned_);
   for (std::size_t i = 0; i < planned_; ++i) planned.push_back(shards_[i].unit);
   const std::uint32_t plan_hash = journal_plan_hash(planned);
-  const std::string fp = mc::render_config_fingerprint(opts_.engine);
+  const std::string config =
+      support::render_record(opts_.engine, inject::active_site_name());
+  const std::string checker = support::render_record(opts_.checker);
   epoch_ = 1;
   if (resume) {
     JournalReplay rep;
@@ -95,20 +99,22 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
     // A resume against a missing or headerless journal starts fresh —
     // convenient for "always pass --resume" retry loops.
     if (hdr != rep.records.end()) {
-      if (hdr->bench != b_.name || hdr->fingerprint != fp ||
-          hdr->plan_hash != plan_hash || hdr->shards != planned_) {
-        *resume_error =
-            "journal '" + path + "' records a different " +
-            (hdr->bench != b_.name
-                 ? "benchmark ('" + hdr->bench + "')"
-                 : hdr->fingerprint != fp
-                       ? "config (" +
-                             journal_fingerprint_mismatch(hdr->fingerprint,
-                                                          fp) +
-                             ")"
-                       : std::string("shard plan")) +
-            "; refusing to merge incompatible shards (delete the journal or "
-            "rerun with the original parameters)";
+      const auto [was, now] = support::difference(
+          hdr->config + " " + hdr->checker, config + " " + checker);
+      std::string differs;
+      if (hdr->bench != b_.name) {
+        differs = "benchmark ('" + hdr->bench + "')";
+      } else if (!was.empty() || !now.empty()) {
+        differs =
+            "config (" + was + " in the journal, " + now + " in this run)";
+      } else if (hdr->plan_hash != plan_hash || hdr->shards != planned_) {
+        differs = "shard plan";
+      }
+      if (!differs.empty()) {
+        *resume_error = "journal '" + path + "' records a different " +
+                        differs + "; refusing to merge incompatible shards " +
+                        "(delete the journal or rerun with the original " +
+                        "parameters)";
         return false;
       }
       resumed_ = true;
@@ -159,8 +165,9 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
   run.epoch = epoch_;
   run.shards = planned_;
   run.plan_hash = plan_hash;
-  run.fingerprint = fp;
   run.bench = b_.name;
+  run.config = config;
+  run.checker = checker;
   if (!journal_.append(run, &jerr)) {
     std::fprintf(stderr, "cds::dist: %s; continuing without durability\n",
                  jerr.c_str());

@@ -12,6 +12,7 @@
 #include "dist/net.h"
 #include "dist/protocol.h"
 #include "harness/shard_result.h"
+#include "inject/inject.h"
 #include "support/io.h"
 #include "support/rng.h"
 
@@ -108,10 +109,18 @@ bool send_result(WorkerState& ws, const WorkerOptions& opts, std::uint64_t id,
 Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
                        const BenchmarkResolver& resolve, const Assignment& a) {
   const harness::Benchmark* b = resolve(a.bench);
-  if (b == nullptr || a.unit.test_index >= b->tests.size()) {
-    const std::string why =
-        b == nullptr ? "unknown benchmark '" + a.bench + "'"
-                     : "test index out of range for '" + a.bench + "'";
+  std::string why;
+  if (b == nullptr) {
+    why = "unknown benchmark '" + a.bench + "'";
+  } else if (a.unit.test_index >= b->tests.size()) {
+    why = "test index out of range for '" + a.bench + "'";
+  } else if (!inject::activate_site(a.bench, a.inject_site)) {
+    // The shard child inherits exactly the assignment's injection, or
+    // none; a site this build lacks cannot be explored faithfully.
+    why = "no injection site '" + a.inject_site + "' for '" + a.bench +
+          "' in this build";
+  }
+  if (!why.empty()) {
     return support::write_full(ws.fd, render_failed(a.shard_id, why))
                ? Outcome::kDone
                : Outcome::kConnLost;

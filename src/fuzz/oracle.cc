@@ -66,6 +66,21 @@ bool BehaviorCollector::on_execution_complete(mc::Engine& e) {
   return true;
 }
 
+mc::Config engine_config(const OracleConfig& cfg, bool sampling_only) {
+  mc::Config ec;
+  ec.max_executions = sampling_only ? 0 : cfg.max_executions;
+  ec.max_steps = cfg.max_steps;
+  ec.stale_read_bound = cfg.stale_read_bound;
+  ec.collect_trace = false;
+  ec.enable_sleep_sets = !sampling_only;
+  ec.seed = cfg.seed;
+  ec.sampling_only = sampling_only;
+  ec.sample_executions = sampling_only ? cfg.sample_executions : 0;
+  ec.explore = cfg.explore;
+  ec.unsound_hook = cfg.unsound_hook;
+  return ec;
+}
+
 namespace {
 
 // Brute-force DFS over thread interleavings with direct interleaving
@@ -175,26 +190,13 @@ class WitnessCapture : public mc::ExecutionListener {
   std::vector<mc::Choice> choices_;
 };
 
-mc::Config engine_config(const OracleConfig& cfg, bool sampling_only) {
-  mc::Config ec;
-  ec.max_executions = sampling_only ? 0 : cfg.max_executions;
-  ec.max_steps = cfg.max_steps;
-  ec.stale_read_bound = cfg.stale_read_bound;
-  ec.collect_trace = false;
-  ec.seed = cfg.seed;
-  ec.sampling_only = sampling_only;
-  ec.sample_executions = sampling_only ? cfg.sample_executions : 0;
-  ec.explore = cfg.explore;
-  ec.unsound_hook = cfg.unsound_hook;
-  return ec;
-}
-
 // Explores `p` until an execution exhibits a behavior outside `exclude`.
 bool capture_witness(const Program& p, const OracleConfig& cfg,
                      const BehaviorSet& exclude, bool sampling_only,
                      WitnessTrail* out) {
   std::vector<std::uint64_t> obs;
-  mc::Engine engine(engine_config(cfg, sampling_only));
+  const mc::Config ec = engine_config(cfg, sampling_only);
+  mc::Engine engine(ec);
   WitnessCapture capture(&obs, p.locations, &exclude);
   engine.set_listener(&capture);
   (void)engine.explore(p.test_fn(&obs));
@@ -202,6 +204,7 @@ bool capture_witness(const Program& p, const OracleConfig& cfg,
   out->choices = capture.choices();
   out->behavior = capture.behavior();
   out->sampling = sampling_only;
+  out->config = ec;
   return true;
 }
 
@@ -491,11 +494,11 @@ bool witness_trail(const Program& p, const OracleConfig& cfg, OracleKind kind,
   return false;
 }
 
-bool replay_behavior(const Program& p, const OracleConfig& cfg,
+bool replay_behavior(const Program& p, const mc::Config& cfg,
                      const std::vector<mc::Choice>& choices,
                      std::string* behavior, std::string* err) {
   std::vector<std::uint64_t> obs;
-  mc::Engine engine(engine_config(cfg, /*sampling_only=*/false));
+  mc::Engine engine(cfg);
   BehaviorSet observed;
   BehaviorCollector collector(&obs, p.locations, &observed);
   engine.set_listener(&collector);

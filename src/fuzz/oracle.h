@@ -168,10 +168,19 @@ struct WitnessTrail {
   std::vector<mc::Choice> choices;
   std::string behavior;       // serialized behavior of the witnessed execution
   bool sampling = false;      // recorded during the random-walk phase
+  // The engine config the witnessed execution ran under (engine_config):
+  // replaying the choices under it reproduces the execution.
+  mc::Config config;
   // For kMonotonicity the trail drives strengthen_at(p, site), not p itself.
   bool strengthened = false;
   StrengthenSite site;
 };
+
+// The engine config every oracle explores under: the DFS run, or with
+// `sampling_only` the random walk. The walk never consults sleep sets, so
+// its config turns them off, which is how its executions replay.
+[[nodiscard]] mc::Config engine_config(const OracleConfig& cfg,
+                                       bool sampling_only);
 
 // After check_program reported a disagreement of `kind` on `p` (typically
 // the minimized program), re-runs the relevant exploration and captures the
@@ -182,10 +191,11 @@ struct WitnessTrail {
 bool witness_trail(const Program& p, const OracleConfig& cfg, OracleKind kind,
                    WitnessTrail* out);
 
-// Strictly replays one recorded choice trail of `p` and reports the
-// behavior that execution exhibits. Returns false on replay divergence or
-// a non-completing execution, with the reason in *err.
-bool replay_behavior(const Program& p, const OracleConfig& cfg,
+// Strictly replays one recorded choice trail of `p` under `cfg` (a
+// witness's recorded config) and reports the behavior that execution
+// exhibits. Returns false on replay divergence or a non-completing
+// execution, with the reason in *err.
+bool replay_behavior(const Program& p, const mc::Config& cfg,
                      const std::vector<mc::Choice>& choices,
                      std::string* behavior, std::string* err);
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "support/record.h"
 #include "support/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -79,14 +80,7 @@ void fold_counters(RunResult& into, const mc::ExplorationStats& mc,
                    const spec::SpecChecker::Stats& spec,
                    const obs::Registry& metrics) {
   mc::merge_shard_stats(into.mc, mc);
-  spec::SpecChecker::Stats& sp = into.spec;
-  sp.executions_checked += spec.executions_checked;
-  sp.inadmissible_execs += spec.inadmissible_execs;
-  sp.assertion_violation_execs += spec.assertion_violation_execs;
-  sp.histories_checked += spec.histories_checked;
-  sp.justification_checks += spec.justification_checks;
-  sp.history_cap_hit |= spec.history_cap_hit;
-  sp.r_cycle_seen |= spec.r_cycle_seen;
+  support::merge_record(into.spec, spec);
   into.metrics.merge(metrics);
 }
 

@@ -55,8 +55,8 @@ struct RunResult {
 // Explores `test` under the model checker with specification checking.
 RunResult run_with_spec(const mc::TestFn& test, const RunOptions& opts = {});
 
-// Adds one exploration's counters to `into`: exploration stats through
-// mc::merge_shard_stats, spec counters summed (flags ORed), metrics
+// Adds one exploration's counters to `into`: exploration and spec stats
+// by their records' merge rules (mc/stats.h, spec/checker.h), metrics
 // through obs::Registry::merge. Verdict, violations and reports are left
 // to the caller. run_benchmark folds each unit test with it and the shard
 // table each shard, so serial and sharded totals are summed alike.

@@ -3,13 +3,14 @@
 // One unit test's one shard, as produced by a worker (a fork_map child, a
 // distributed worker, or the sequential fallback). Line oriented;
 // multi-line payloads (violation details, spec reports) are escaped onto
-// single lines so the whole message parses line-by-line:
+// single lines (support/record.h) so the whole message parses
+// line-by-line:
 //
-//   shard-result v5
-//   stats executions=.. feasible=.. ... exhausted=0|1 preempted=0|1 verdict=0|1|2
+//   shard-result v6
+//   stats executions=.. feasible=.. ... preempted=0|1 verdict=<name>
 //   spec checked=.. inadmissible=.. ... r_cycle=0|1
 //   violations <n>
-//   v <wire-kind> <exec_index> <test_index> <nchoices> <escaped detail>
+//   v kind=<wire-kind> execution=<i> test=<t> choices=<n> detail=<text>
 //   S 1/2                                  # nchoices trail lines
 //   ...
 //   reports <n>
@@ -33,18 +34,22 @@
 // reports class counts bit-identical to a serial run. v5: violation
 // trails and the frontier may hold kRevisit choices ('V'), which replaced
 // rf mode's wait alternative, so an older rf result indexes another tree.
+// v6: the stats and spec lines are the counter records of mc/stats.h and
+// spec/checker.h, and violation lines records too (support/record.h);
+// `seconds` is an exact double in place of whole microseconds and the
+// verdict is named.
 //
-// Parsing is strict-versioned: a stale v1-v4 result (say, in a journal
+// Parsing is strict-versioned: a stale v1-v5 result (say, in a journal
 // written by an older build) is treated as corrupt (shard recomputed or
 // crashed) rather than silently merged with missing sections.
 #ifndef CDS_HARNESS_SHARD_RESULT_H
 #define CDS_HARNESS_SHARD_RESULT_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "harness/runner.h"
@@ -52,6 +57,7 @@
 #include "mc/trail.h"
 #include "obs/metrics.h"
 #include "spec/checker.h"
+#include "support/record.h"
 
 namespace cds::harness {
 
@@ -67,20 +73,8 @@ struct ShardResult {
   std::vector<mc::Choice> frontier;
 };
 
-// Newline/backslash escaping used for single-line payload fields.
-std::string escape_line(const std::string& s);
-std::string unescape_line(const std::string& s);
-
-// Line-format building blocks shared with the dist protocol parser
-// (src/dist/protocol.cc): split on '\n', strict u64, and strict
-// "key=value" token lines where every listed key must appear exactly and
-// no unknown key is tolerated.
+// Splits on '\n'; shared with the dist protocol parser.
 std::vector<std::string> split_lines(const std::string& text);
-bool parse_u64_tok(const char* s, std::uint64_t* out);
-bool parse_kv_tokens(
-    const std::string& line, std::size_t skip_prefix,
-    const std::vector<std::pair<const char*, std::uint64_t*>>& slots,
-    std::string* err);
 
 std::string render_shard_result(const RunResult& r);
 
@@ -106,6 +100,18 @@ struct ShardUnit {
   std::uint64_t engine_seed = 0;
   std::uint64_t sample_executions = 0;
 };
+
+// The unit line's record (support/record.h); the prefix follows it as a
+// trail section.
+inline std::array<support::Field, 5> fields(ShardUnit& u) {
+  return {{
+      {"test", &u.test_index},
+      {"ordinal", &u.ordinal},
+      {"total", &u.total},
+      {"seed", &u.engine_seed},
+      {"samples", &u.sample_executions},
+  }};
+}
 
 // A ShardUnit as text — the fork pool's unit payload and the block the
 // shard-assign wire carries:

@@ -60,6 +60,19 @@ void inject(SiteId id) { g_active = id; }
 void clear_injection() { g_active = -1; }
 SiteId active_injection() { return g_active; }
 
+std::string active_site_name() {
+  return g_active < 0 ? std::string()
+                      : registry()[static_cast<std::size_t>(g_active)].name;
+}
+
+bool activate_site(const std::string& benchmark, const std::string& name) {
+  clear_injection();
+  for (const Site& s : registry()) {
+    if (s.benchmark == benchmark && s.name == name) inject(s.id);
+  }
+  return name.empty() || g_active >= 0;
+}
+
 const std::vector<Site>& all_sites() { return registry(); }
 
 std::vector<Site> sites_for(const std::string& benchmark) {

@@ -59,6 +59,14 @@ void inject(SiteId id);
 void clear_injection();
 [[nodiscard]] SiteId active_injection();  // -1 when none
 
+// The active site by name ("" when none): how configuration records
+// (mc::Config's, support/record.h) carry the injection across processes.
+[[nodiscard]] std::string active_site_name();
+// Arms exactly the site `name` of `benchmark`, or clears any injection
+// when `name` is empty. False, with nothing armed, when this build has no
+// such site.
+bool activate_site(const std::string& benchmark, const std::string& name);
+
 [[nodiscard]] const std::vector<Site>& all_sites();
 [[nodiscard]] std::vector<Site> sites_for(const std::string& benchmark);
 

@@ -2,10 +2,13 @@
 #ifndef CDS_MC_CONFIG_H
 #define CDS_MC_CONFIG_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+
+#include "support/record.h"
 
 namespace cds::mc {
 
@@ -25,6 +28,15 @@ enum class UnsoundHook : std::uint8_t {
   // (an under-approximation: DFS misses behaviors sampling can reach).
   kSleepSetNeverWakes,
 };
+
+[[nodiscard]] inline const char* to_string(UnsoundHook h) {
+  switch (h) {
+    case UnsoundHook::kNone: return "none";
+    case UnsoundHook::kScLoadIgnoresFloor: return "sc-floor";
+    case UnsoundHook::kSleepSetNeverWakes: return "sleep-wake";
+  }
+  return "?";
+}
 
 // What the DFS branches on (see --explore).
 enum class ExploreMode : std::uint8_t {
@@ -82,8 +94,8 @@ struct Config {
   bool enable_sleep_sets = true;
 
   // Equivalence relation the DFS enumerates representatives of. Part of
-  // the config fingerprint: trails and shard journals recorded in one
-  // mode never resume or replay under the other. Under
+  // the config record: trails and shard journals recorded in one mode
+  // never resume or replay under the other. Under
   // strengthen_to_sc every load is seq_cst, so kRf degenerates to
   // kSchedule (no load is ever deferred).
   ExploreMode explore = ExploreMode::kSchedule;
@@ -183,6 +195,38 @@ struct Config {
   // self-validation tests.
   UnsoundHook unsound_hook = UnsoundHook::kNone;
 };
+
+// The run-configuration record (support/record.h): every Config field
+// that shapes the explored tree or cuts a run short, plus the active
+// --inject site by name, which the caller passes in and out because mc
+// cannot see the inject registry. A .trail's `config` line, the shard
+// journal's run record and shard-assign's engine line all carry exactly
+// this record. Observability, identity and the stop hook stay out. The
+// first ten keys keep the names the journal has always used.
+inline std::array<support::Field, 20> fields(Config& c, std::string& inject) {
+  return {{
+      {"stale", &c.stale_read_bound},
+      {"max_steps", &c.max_steps},
+      {"strengthen_sc", &c.strengthen_to_sc},
+      {"sleep_sets", &c.enable_sleep_sets},
+      {"explore", support::enum_ref<2>(&c.explore)},
+      {"seed", &c.seed},
+      {"cap", &c.max_executions},
+      {"timeout", &c.time_budget_seconds},
+      {"mem_cap", &c.memory_budget_bytes},
+      {"stop_on_violation", &c.stop_on_first_violation},
+      {"inject", &inject},
+      {"threads", &c.max_threads},
+      {"max_violations", &c.max_recorded_violations},
+      {"trace", &c.collect_trace},
+      {"watchdog", &c.watchdog_no_progress_execs},
+      {"samples", &c.sample_executions},
+      {"dfs_fraction", &c.dfs_budget_fraction},
+      {"contain", &c.contain_crashes},
+      {"sampling_only", &c.sampling_only},
+      {"unsound", support::enum_ref<3>(&c.unsound_hook)},
+  }};
+}
 
 }  // namespace cds::mc
 

@@ -137,6 +137,9 @@ Engine::Engine(Config cfg)
   m_rf_fanout_ = &obs_.histogram("engine.rf_fanout");
   m_mem_peak_ = &obs_.gauge("engine.mem_estimate_peak_bytes");
   m_arena_peak_ = &obs_.gauge("engine.arena_peak_bytes");
+  m_dfs_phase_ = &obs_.timer("engine.dfs_phase");
+  m_sampling_phase_ = &obs_.timer("engine.sampling_phase");
+  m_explore_ = &obs_.timer("engine.explore");
 }
 
 void Engine::on_trail_overflow(void* self, std::uint32_t num) {
@@ -534,10 +537,9 @@ ExplorationStats Engine::explore(const TestFn& test) {
     }
   }
   const auto dfs_t1 = std::chrono::steady_clock::now();
-  obs_.timer("engine.dfs_phase")
-      .add_ns(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(dfs_t1 - dfs_t0)
-              .count()));
+  m_dfs_phase_->add_ns(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(dfs_t1 - dfs_t0)
+          .count()));
 
   // Phase 2: fail-safe degradation. Budget is gone but the space is not
   // covered — switch to seeded random-walk sampling instead of stopping
@@ -573,11 +575,10 @@ ExplorationStats Engine::explore(const TestFn& test) {
       }
     }
     trail_.set_mode(Trail::Mode::kDfs);
-    obs_.timer("engine.sampling_phase")
-        .add_ns(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - dfs_t1)
-                .count()));
+    m_sampling_phase_->add_ns(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - dfs_t1)
+            .count()));
   }
 
   stats.hit_time_budget = hit_time_budget_;
@@ -595,11 +596,10 @@ ExplorationStats Engine::explore(const TestFn& test) {
     stats.verdict = Verdict::kInconclusive;
   }
   stats.seconds = seconds_since_start();
-  obs_.timer("engine.explore")
-      .add_ns(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0_)
-              .count()));
+  m_explore_->add_ns(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0_)
+          .count()));
   progress_.reset();
   active_deadline_ = 0.0;
   restore_crash_handlers();

@@ -489,6 +489,9 @@ class Engine : public harness::Backend {
   obs::Histogram* m_rf_fanout_ = nullptr;
   obs::Gauge* m_mem_peak_ = nullptr;
   obs::Gauge* m_arena_peak_ = nullptr;
+  obs::Timer* m_dfs_phase_ = nullptr;
+  obs::Timer* m_sampling_phase_ = nullptr;
+  obs::Timer* m_explore_ = nullptr;
   // Heartbeat meter; null unless cfg_.progress_interval_seconds > 0.
   std::unique_ptr<obs::ProgressMeter> progress_;
 };

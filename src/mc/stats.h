@@ -4,9 +4,11 @@
 #ifndef CDS_MC_STATS_H
 #define CDS_MC_STATS_H
 
+#include <array>
 #include <cstdint>
 
 #include "mc/violation.h"
+#include "support/record.h"
 
 namespace cds::mc {
 
@@ -51,39 +53,48 @@ struct ExplorationStats {
   Verdict verdict = Verdict::kInconclusive;
 };
 
-// Folds one shard's stats into an aggregate. Disjoint subtree shards
-// partition the executions of a serial run, so counters sum exactly
-// (merged counts from an exhaustive sharded run are bit-identical to the
-// serial run's); budget/stop flags are sticky ORs, exhaustion is an AND
-// (every shard must finish its subtree), and depth is a max. `seconds`
-// sums shard CPU time, so it exceeds wall time when shards ran
-// concurrently. The verdict is NOT merged here — it needs run-level
+// The counter record (support/record.h): the 22 fields a shard result
+// carries, each with its merge rule. Disjoint subtree shards partition the
+// executions of a serial run, so counters sum exactly (merged counts from
+// an exhaustive sharded run are bit-identical to the serial run's);
+// budget/stop flags are sticky ORs, exhaustion is an AND (every shard must
+// finish its subtree), and depth is a max. `seconds` sums shard CPU time,
+// so it exceeds wall time when shards ran concurrently. Neither
+// `preempted` nor the verdict is merged: the verdict needs run-level
 // context (crashed workers, falsifying shard priority); see the parallel
 // driver.
+inline std::array<support::Field, 22> fields(ExplorationStats& s) {
+  using support::Merge;
+  return {{
+      {"executions", &s.executions, Merge::kSum},
+      {"feasible", &s.feasible, Merge::kSum},
+      {"pruned_bound", &s.pruned_bound, Merge::kSum},
+      {"pruned_livelock", &s.pruned_livelock, Merge::kSum},
+      {"pruned_redundant", &s.pruned_redundant, Merge::kSum},
+      {"builtin", &s.builtin_violation_execs, Merge::kSum},
+      {"fatal", &s.engine_fatal_execs, Merge::kSum},
+      {"crash", &s.crash_execs, Merge::kSum},
+      {"violations_total", &s.violations_total, Merge::kSum},
+      {"sampled", &s.sampled, Merge::kSum},
+      {"rf_classes", &s.rf_classes, Merge::kSum},
+      {"rf_infeasible", &s.rf_infeasible, Merge::kSum},
+      {"max_depth", &s.max_trail_depth, Merge::kMax},
+      {"seconds", &s.seconds, Merge::kSum},
+      {"cap", &s.hit_execution_cap, Merge::kOr},
+      {"stopped", &s.stopped_early, Merge::kOr},
+      {"time", &s.hit_time_budget, Merge::kOr},
+      {"mem", &s.hit_memory_budget, Merge::kOr},
+      {"watchdog", &s.watchdog_fired, Merge::kOr},
+      {"exhausted", &s.exhausted, Merge::kAnd},
+      {"preempted", &s.preempted},
+      {"verdict", support::enum_ref<3>(&s.verdict)},
+  }};
+}
+
+// Folds one shard's stats into an aggregate by the record's merge rules.
 inline void merge_shard_stats(ExplorationStats& into,
                               const ExplorationStats& shard) {
-  into.executions += shard.executions;
-  into.feasible += shard.feasible;
-  into.pruned_bound += shard.pruned_bound;
-  into.pruned_livelock += shard.pruned_livelock;
-  into.pruned_redundant += shard.pruned_redundant;
-  into.builtin_violation_execs += shard.builtin_violation_execs;
-  into.engine_fatal_execs += shard.engine_fatal_execs;
-  into.crash_execs += shard.crash_execs;
-  into.violations_total += shard.violations_total;
-  into.rf_classes += shard.rf_classes;
-  into.rf_infeasible += shard.rf_infeasible;
-  into.hit_execution_cap = into.hit_execution_cap || shard.hit_execution_cap;
-  into.stopped_early = into.stopped_early || shard.stopped_early;
-  into.seconds += shard.seconds;
-  into.sampled += shard.sampled;
-  if (shard.max_trail_depth > into.max_trail_depth) {
-    into.max_trail_depth = shard.max_trail_depth;
-  }
-  into.hit_time_budget = into.hit_time_budget || shard.hit_time_budget;
-  into.hit_memory_budget = into.hit_memory_budget || shard.hit_memory_budget;
-  into.watchdog_fired = into.watchdog_fired || shard.watchdog_fired;
-  into.exhausted = into.exhausted && shard.exhausted;
+  support::merge_record(into, shard);
 }
 
 }  // namespace cds::mc

@@ -6,20 +6,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/record.h"
+
 namespace cds::mc {
 
 namespace {
-
-// Strict non-negative integer parse: whole token, no sign, no suffix.
-bool parse_u64_tok(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 std::string flatten(const std::string& s) {
   std::string out = s;
@@ -97,8 +88,8 @@ bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
     return fail_at(err, lineno, "malformed choice '" + text + "' (missing '/')");
   }
   std::uint64_t chosen = 0, num = 0;
-  if (!parse_u64_tok(text.substr(2, slash - 2), &chosen) ||
-      !parse_u64_tok(text.substr(slash + 1), &num)) {
+  if (!support::parse_u64(text.substr(2, slash - 2), &chosen) ||
+      !support::parse_u64(text.substr(slash + 1), &num)) {
     return fail_at(err, lineno, "malformed choice '" + text + "' (bad number)");
   }
   if (num < 2 || num >= 0x10000) {
@@ -122,71 +113,6 @@ bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
 }
 
 }  // namespace
-
-void TrailFile::fingerprint_from(const Config& cfg) {
-  seed = cfg.seed;
-  stale_read_bound = cfg.stale_read_bound;
-  max_steps = cfg.max_steps;
-  strengthen_to_sc = cfg.strengthen_to_sc;
-  enable_sleep_sets = cfg.enable_sleep_sets;
-  explore = cfg.explore;
-  if (!cfg.test_name.empty()) test_name = cfg.test_name;
-}
-
-void TrailFile::apply_fingerprint(Config* cfg) const {
-  cfg->seed = seed;
-  cfg->stale_read_bound = stale_read_bound;
-  cfg->max_steps = max_steps;
-  cfg->strengthen_to_sc = strengthen_to_sc;
-  cfg->enable_sleep_sets = enable_sleep_sets;
-  cfg->explore = explore;
-  cfg->test_name = test_name;
-}
-
-std::string TrailFile::fingerprint_mismatch(const Config& cfg) const {
-  auto mismatch = [](const char* flag, std::uint64_t file_v,
-                     std::uint64_t run_v) {
-    return std::string(flag) + " mismatch: file has " +
-           std::to_string(file_v) + ", this run has " + std::to_string(run_v);
-  };
-  if (!cfg.test_name.empty() && cfg.test_name != test_name) {
-    return "test mismatch: file is for '" + test_name + "', this run is '" +
-           cfg.test_name + "'";
-  }
-  if (cfg.seed != seed) return mismatch("--seed", seed, cfg.seed);
-  if (cfg.stale_read_bound != stale_read_bound) {
-    return mismatch("--stale", stale_read_bound, cfg.stale_read_bound);
-  }
-  if (cfg.max_steps != max_steps) {
-    return mismatch("max_steps", max_steps, cfg.max_steps);
-  }
-  if (cfg.strengthen_to_sc != strengthen_to_sc) {
-    return mismatch("strengthen_sc", strengthen_to_sc ? 1 : 0,
-                    cfg.strengthen_to_sc ? 1 : 0);
-  }
-  if (cfg.enable_sleep_sets != enable_sleep_sets) {
-    return mismatch("sleep_sets", enable_sleep_sets ? 1 : 0,
-                    cfg.enable_sleep_sets ? 1 : 0);
-  }
-  if (cfg.explore != explore) {
-    return std::string("--explore mismatch: file was recorded under '") +
-           to_string(explore) + "', this run is '" + to_string(cfg.explore) +
-           "'";
-  }
-  return "";
-}
-
-std::string render_config_fingerprint(const Config& cfg) {
-  std::ostringstream os;
-  os << "stale=" << cfg.stale_read_bound << ",max_steps=" << cfg.max_steps
-     << ",strengthen_sc=" << (cfg.strengthen_to_sc ? 1 : 0)
-     << ",sleep_sets=" << (cfg.enable_sleep_sets ? 1 : 0)
-     << ",explore=" << to_string(cfg.explore) << ",seed=" << cfg.seed
-     << ",cap=" << cfg.max_executions << ",timeout=" << cfg.time_budget_seconds
-     << ",mem_cap=" << cfg.memory_budget_bytes
-     << ",stop_on_violation=" << (cfg.stop_on_first_violation ? 1 : 0);
-  return os.str();
-}
 
 std::string render_choices(const std::vector<Choice>& v) {
   std::ostringstream os;
@@ -218,19 +144,12 @@ std::string render_trail(const TrailFile& t) {
   std::ostringstream os;
   os << "cdsspec-trail v" << TrailFile::kVersion << '\n';
   os << "test " << t.test_name << '\n';
-  os << "seed " << t.seed << '\n';
   if (!t.backend.empty() && t.backend != "model") {
     os << "backend " << t.backend << '\n';
   }
   if (!t.kind.empty()) os << "kind " << t.kind << '\n';
   if (!t.detail.empty()) os << "detail " << flatten(t.detail) << '\n';
-  if (!t.inject_site.empty()) os << "inject " << t.inject_site << '\n';
-  if (t.explore != ExploreMode::kSchedule) {
-    os << "explore " << to_string(t.explore) << '\n';
-  }
-  os << "config stale=" << t.stale_read_bound << " max_steps=" << t.max_steps
-     << " strengthen_sc=" << (t.strengthen_to_sc ? 1 : 0)
-     << " sleep_sets=" << (t.enable_sleep_sets ? 1 : 0) << '\n';
+  os << "config " << support::render_record(t.config, t.inject_site) << '\n';
   os << "choices " << t.choices.size() << '\n';
   os << render_choices(t.choices);
   os << "end\n";
@@ -255,7 +174,7 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
   }
   std::uint64_t ver = 0;
   if (rest.size() < 2 || rest[0] != 'v' ||
-      !parse_u64_tok(rest.substr(1), &ver)) {
+      !support::parse_u64(rest.substr(1), &ver)) {
     return fail_at(err, line().number, "malformed version '" + rest + "'");
   }
   if (ver != TrailFile::kVersion) {
@@ -275,12 +194,6 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
   }
   ++i;
 
-  if (i >= lines.size() || !take_keyword(line().text, "seed", &rest) ||
-      !parse_u64_tok(rest, &out->seed)) {
-    return need("'seed <n>'");
-  }
-  ++i;
-
   if (i < lines.size() && take_keyword(line().text, "backend", &rest)) {
     // Strict token set: a trail recorded by a future backend this build
     // does not know must fail loudly, never replay under the wrong engine.
@@ -296,88 +209,33 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
 
   if (i < lines.size() && take_keyword(line().text, "kind", &out->kind)) ++i;
   if (i < lines.size() && take_keyword(line().text, "detail", &out->detail)) ++i;
-  if (i < lines.size() &&
-      take_keyword(line().text, "inject", &out->inject_site)) {
-    ++i;
-  }
-  if (i < lines.size() && take_keyword(line().text, "explore", &rest)) {
-    // Strict token set, and "schedule" normalizes to the absent default so
-    // parse(render(t)) round-trips exactly.
-    if (rest != "schedule" && rest != "rf") {
-      return fail_at(err, line().number,
-                     "unknown explore mode '" + rest +
-                         "' (this build replays 'schedule' and 'rf' trails)");
-    }
-    out->explore = rest == "rf" ? ExploreMode::kRf : ExploreMode::kSchedule;
-    ++i;
-  }
-
   if (i >= lines.size() || !take_keyword(line().text, "config", &rest)) {
-    return need("'config stale=... max_steps=... strengthen_sc=... "
-                "sleep_sets=...'");
+    return need("'config <record>'");
   }
-  {
-    std::size_t cfg_line = line().number;
-    std::istringstream cs(rest);
-    std::string kv;
-    int seen = 0;
-    while (cs >> kv) {
-      std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        return fail_at(err, cfg_line, "malformed config entry '" + kv + "'");
-      }
-      std::string key = kv.substr(0, eq);
-      std::uint64_t val = 0;
-      if (!parse_u64_tok(kv.substr(eq + 1), &val)) {
-        return fail_at(err, cfg_line, "malformed config value in '" + kv + "'");
-      }
-      if (key == "stale") {
-        out->stale_read_bound = static_cast<std::uint32_t>(val);
-      } else if (key == "max_steps") {
-        out->max_steps = val;
-      } else if (key == "strengthen_sc") {
-        out->strengthen_to_sc = val != 0;
-      } else if (key == "sleep_sets") {
-        out->enable_sleep_sets = val != 0;
-      } else {
-        return fail_at(err, cfg_line, "unknown config key '" + key + "'");
-      }
-      ++seen;
-    }
-    if (seen < 4) {
-      return fail_at(err, cfg_line,
-                     "config line must carry stale, max_steps, strengthen_sc "
-                     "and sleep_sets");
-    }
+  std::string why;
+  if (!support::parse_record(rest, &why, out->config, out->inject_site)) {
+    return fail_at(err, line().number, "config: " + why);
   }
   ++i;
 
   std::uint64_t n = 0;
   if (i >= lines.size() || !take_keyword(line().text, "choices", &rest) ||
-      !parse_u64_tok(rest, &n)) {
+      !support::parse_u64(rest, &n)) {
     return need("'choices <count>'");
   }
   ++i;
 
-  std::vector<std::string> raw;
-  raw.reserve(lines.size());
-  for (const Line& l : lines) raw.push_back(l.text);
-  // parse_choices reports 1-based indices into `raw`; remap to the source
-  // line numbers so the message points at the right spot in the file.
-  std::size_t idx = i;
-  if (!parse_choices(raw, &idx, static_cast<std::size_t>(n), &out->choices,
-                     err)) {
-    if (err != nullptr && err->rfind("line ", 0) == 0) {
-      std::size_t raw_no = 0;
-      if (parse_u64_tok(err->substr(5, err->find(':') - 5), &raw_no) &&
-          raw_no >= 1 && raw_no <= lines.size()) {
-        *err = "line " + std::to_string(lines[raw_no - 1].number) +
-               err->substr(err->find(':'));
-      }
+  for (std::uint64_t k = 0; k < n; ++k, ++i) {
+    if (i >= lines.size()) {
+      return fail(err, "truncated: expected " + std::to_string(n) +
+                           " choices but found only " + std::to_string(k));
     }
-    return false;
+    Choice c{};
+    if (!parse_one_choice(lines[i].text, lines[i].number, &c, err)) {
+      return false;
+    }
+    out->choices.push_back(c);
   }
-  i = idx;
 
   if (i >= lines.size() || lines[i].text != "end") {
     return fail(err,

@@ -40,7 +40,8 @@ enum class ViolationKind {
 }
 
 // Stable wire names for .trail files and shard results (the display strings
-// above contain spaces). parse_violation_kind accepts exactly these.
+// above contain spaces); shard results parse them back through the record
+// codec.
 [[nodiscard]] constexpr const char* wire_name(ViolationKind k) {
   switch (k) {
     case ViolationKind::kDataRace: return "data-race";
@@ -53,21 +54,6 @@ enum class ViolationKind {
     case ViolationKind::kEngineFatal: return "engine-fatal";
   }
   return "?";
-}
-
-[[nodiscard]] inline bool parse_violation_kind(const std::string& s,
-                                               ViolationKind* out) {
-  for (ViolationKind k :
-       {ViolationKind::kDataRace, ViolationKind::kUninitializedLoad,
-        ViolationKind::kDeadlock, ViolationKind::kCrash,
-        ViolationKind::kInadmissible, ViolationKind::kSpecAssertion,
-        ViolationKind::kUserAssertion, ViolationKind::kEngineFatal}) {
-    if (s == wire_name(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
 }
 
 // What an exploration proved. `kVerifiedExhaustive` means the DFS ran the

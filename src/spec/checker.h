@@ -13,6 +13,7 @@
 #ifndef CDS_SPEC_CHECKER_H
 #define CDS_SPEC_CHECKER_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "spec/annotations.h"
 #include "spec/history.h"
 #include "spec/specification.h"
+#include "support/record.h"
 
 namespace cds::spec {
 
@@ -116,6 +118,33 @@ class SpecChecker : public mc::ExecutionListener {
   std::vector<std::vector<const CallRecord*>> concurrent_;
   const std::vector<const CallRecord*>* cur_calls_ = nullptr;
 };
+
+// The checker's option and counter records (support/record.h). The
+// options travel with the engine config in shard-assign and the shard
+// journal; the counters ride in shard results and merge by these rules.
+inline std::array<support::Field, 6> fields(SpecChecker::Options& o) {
+  return {{
+      {"max_histories", &o.max_histories},
+      {"sampled_histories", &o.sampled_histories},
+      {"max_subhistories", &o.max_subhistories},
+      {"max_reports", &o.max_reports},
+      {"report_trace", &o.report_trace},
+      {"seed", &o.seed},
+  }};
+}
+
+inline std::array<support::Field, 7> fields(SpecChecker::Stats& s) {
+  using support::Merge;
+  return {{
+      {"checked", &s.executions_checked, Merge::kSum},
+      {"inadmissible", &s.inadmissible_execs, Merge::kSum},
+      {"assertions", &s.assertion_violation_execs, Merge::kSum},
+      {"histories", &s.histories_checked, Merge::kSum},
+      {"justifications", &s.justification_checks, Merge::kSum},
+      {"cap_hit", &s.history_cap_hit, Merge::kOr},
+      {"r_cycle", &s.r_cycle_seen, Merge::kOr},
+  }};
+}
 
 }  // namespace cds::spec
 

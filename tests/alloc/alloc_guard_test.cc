@@ -253,5 +253,30 @@ TEST(AllocGuard, DsTestRfMode) {
   check_ds("ms-queue", ExploreMode::kRf);
 }
 
+// The same warm engine, counted over the whole second explore() call:
+// its entry and exit (phase timers, stats) allocate nothing either.
+void check_whole_explore(ExploreMode mode) {
+  ds::register_all_benchmarks();
+  const harness::Benchmark* b = harness::find_benchmark("ms-queue");
+  ASSERT_NE(b, nullptr);
+  Config c;
+  c.explore = mode;
+  c.max_executions = 2000;
+  Engine engine(c);
+  ASSERT_GT(engine.explore(b->tests[0]).executions, 16u);
+  const std::uint64_t before = allocations();
+  const mc::ExplorationStats again = engine.explore(b->tests[0]);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(again.executions, 16u);
+}
+
+TEST(AllocGuard, WholeDfsExploreScheduleMode) {
+  check_whole_explore(ExploreMode::kSchedule);
+}
+
+TEST(AllocGuard, WholeDfsExploreRfMode) {
+  check_whole_explore(ExploreMode::kRf);
+}
+
 }  // namespace
 }  // namespace cds

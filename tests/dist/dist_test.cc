@@ -207,6 +207,27 @@ TEST(DistHarness, BenchShapesBitIdenticalToSerial) {
   }
 }
 
+TEST(DistHarness, InjectionSiteTheWorkerLacksFailsTheShards) {
+  // The coordinator runs under an injection its workers cannot arm for
+  // this benchmark (the site belongs to another one): every assignment is
+  // answered `failed`, so the verdict is inconclusive, never verified.
+  ds::register_all_benchmarks();
+  ASSERT_FALSE(inject::all_sites().empty());
+  fuzz::Program p;
+  std::vector<std::uint64_t> obs;
+  harness::Benchmark b =
+      make_litmus_benchmark("mp_relacq_wide", kMpRelacqWide, &p, &obs);
+  harness::RunOptions opts;
+  dist::DistOptions d;
+  d.dist_workers = 2;
+  d.max_shard_retries = 0;
+  inject::inject(inject::all_sites().front().id);
+  dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
+  inject::clear_injection();
+  EXPECT_GT(r.failed_shards, 0u);
+  EXPECT_EQ(r.merged.verdict, mc::Verdict::kInconclusive);
+}
+
 TEST(DistHarness, KilledWorkerShardIsRetriedAndMergedExactlyOnce) {
   // Satellite: retry bookkeeping. Attempt 1 dies (worker SIGKILLed the
   // moment the assignment arrives), attempt 2 succeeds elsewhere; the

@@ -20,6 +20,7 @@
 #include "harness/runner.h"
 #include "harness/shard_result.h"
 #include "mc/atomic.h"
+#include "support/record.h"
 
 namespace cds {
 namespace {
@@ -50,9 +51,11 @@ dist::JournalRecord run_record() {
   r.epoch = 3;
   r.shards = 12;
   r.plan_hash = 0xDEADBEEFu;
-  r.fingerprint =
-      "stale=3,max_steps=20000,strengthen_sc=0,sleep_sets=1,explore=rf,"
-      "seed=42,cap=0,timeout=0,mem_cap=0,stop_on_violation=0";
+  mc::Config cfg;
+  cfg.explore = mc::ExploreMode::kRf;
+  cfg.seed = 42;
+  r.config = support::render_record(cfg, std::string("enq: tail load"));
+  r.checker = support::render_record(spec::SpecChecker::Options{});
   r.bench = "ticket-lock with spaces\nand a newline";
   return r;
 }
@@ -72,7 +75,8 @@ void expect_equal_records(const dist::JournalRecord& a,
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.plan_hash, b.plan_hash);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.config, b.config);
+  EXPECT_EQ(a.checker, b.checker);
   EXPECT_EQ(a.bench, b.bench);
   EXPECT_EQ(a.shard, b.shard);
   EXPECT_EQ(a.attempt, b.attempt);
@@ -143,7 +147,7 @@ TEST(Journal, CrcCatchesAnySingleCorruptedByte) {
 TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
   const std::string path = tmp_path("torn.journal");
   const std::string qpath = path + ".quarantined";
-  const std::string magic = "cdsspec-journal v3\n";
+  const std::string magic = "cdsspec-journal v4\n";
   const std::string good1 = dist::render_journal_record(run_record());
   const std::string good2 = dist::render_journal_record(result_record());
   dist::JournalRecord last;
@@ -187,7 +191,7 @@ TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
 
 TEST(Journal, CorruptRecordTruncatesBackToLastGoodRecord) {
   const std::string path = tmp_path("corrupt.journal");
-  const std::string magic = "cdsspec-journal v3\n";
+  const std::string magic = "cdsspec-journal v4\n";
   const std::string good = dist::render_journal_record(run_record());
   std::string bad = dist::render_journal_record(result_record());
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/net.h"
@@ -13,6 +14,7 @@
 #include "mc/shard.h"
 #include "mc/trace.h"
 #include "obs/metrics.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace cds {
@@ -194,13 +196,50 @@ TEST(DistAssignment, RoundTripsEveryTreeShapingConfigField) {
   EXPECT_EQ(back.engine.strengthen_to_sc, e.strengthen_to_sc);
   EXPECT_EQ(back.engine.sampling_only, e.sampling_only);
   EXPECT_EQ(back.engine.unsound_hook, e.unsound_hook);
-  EXPECT_EQ(mc::render_config_fingerprint(back.engine),
-            mc::render_config_fingerprint(e));
+  EXPECT_EQ(support::render_record(back.engine, back.inject_site),
+            support::render_record(e, a.inject_site));
+}
+
+TEST(DistAssignment, InjectSiteNameWithSpacesAndColonRoundTrips) {
+  // Without the site a worker explores the unweakened program.
+  Assignment a = sample_assignment();
+  a.inject_site = "enq: tail->next load";
+  const std::string text = dist::render_assignment(a);
+  EXPECT_NE(text.find(" inject=enq:\\stail->next\\sload "),
+            std::string::npos)
+      << text;
+  Assignment back;
+  std::string err;
+  ASSERT_TRUE(dist::parse_assignment(text, &back, &err)) << err;
+  EXPECT_EQ(back.inject_site, a.inject_site);
+}
+
+TEST(DistAssignment, RepeatedOrUnknownKeyIsRejected) {
+  // A repeated key standing in for a missing one, and a key this build
+  // does not know, both reject the payload, naming the key.
+  const std::string text = dist::render_assignment(sample_assignment());
+  std::string repeated = text;
+  const std::size_t at = repeated.find(" max_steps=");
+  ASSERT_NE(at, std::string::npos);
+  repeated.replace(at, repeated.find(' ', at + 1) - at, " stale=4");
+  std::string unknown = text;
+  unknown.replace(unknown.find(" max_steps="), 11, " max_stepz=");
+  for (const auto& [payload, want] :
+       {std::pair{repeated, "repeated key 'stale'"},
+        std::pair{unknown, "unknown key 'max_stepz'"}}) {
+    Assignment out;
+    out.bench = "untouched";
+    std::string err;
+    EXPECT_FALSE(dist::parse_assignment(payload, &out, &err)) << payload;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+    EXPECT_EQ(out.bench, "untouched");
+  }
 }
 
 TEST(DistAssignment, StaleV1PayloadIsRejected) {
   // v2 prefixes may name rf trees with the old wait alternative.
-  for (const char* old : {"shard-assign v1", "shard-assign v2"}) {
+  for (const char* old :
+       {"shard-assign v1", "shard-assign v2", "shard-assign v3"}) {
     std::string text = dist::render_assignment(sample_assignment());
     text.replace(0, text.find('\n'), old);
     Assignment out;

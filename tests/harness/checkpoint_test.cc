@@ -28,6 +28,7 @@
 #include "harness/parallel.h"
 #include "harness/runner.h"
 #include "harness/shard_result.h"
+#include "inject/inject.h"
 #include "mc/atomic.h"
 #include "mc/trace.h"
 #include "mc/var.h"
@@ -423,6 +424,8 @@ TEST(Checkpoint, InconclusiveRunKeepsItsCheckpointForResume) {
 // a resume under any other value is refused, and the refusal names the
 // field that differs.
 TEST(Checkpoint, FingerprintMismatchNamesTheFlag) {
+  ds::register_all_benchmarks();  // registers the injection sites
+  ASSERT_FALSE(inject::all_sites().empty());
   const harness::Benchmark b = make_bench("cp-fingerprint", {cyclic_body});
   harness::RunOptions opts;
   opts.engine.max_executions = 20000;
@@ -459,15 +462,21 @@ TEST(Checkpoint, FingerprintMismatchNamesTheFlag) {
           << "jobs=" << jobs << ": " << r.resume_error;
       EXPECT_EQ(r.merged.mc.executions, 0u) << ch.field;
     }
+    // The active injection site is part of the record: a journal recorded
+    // on the unweakened program does not resume under --inject.
+    inject::inject(inject::all_sites().front().id);
+    const harness::ParallelRunResult injected =
+        harness::run_benchmark_parallel(b, opts, par);
+    inject::clear_injection();
+    EXPECT_NE(injected.resume_error.find("(inject= in the journal, inject="),
+              std::string::npos)
+        << "jobs=" << jobs << ": " << injected.resume_error;
+    EXPECT_EQ(injected.merged.mc.executions, 0u);
     const harness::ParallelRunResult same =
         harness::run_benchmark_parallel(b, opts, par);
     EXPECT_TRUE(same.resume_error.empty()) << same.resume_error;
     std::remove(path.c_str());
   }
-  EXPECT_EQ(dist::journal_fingerprint_mismatch("a=1,cap=5,b=2", "a=1,cap=5,b=2"),
-            "");
-  EXPECT_EQ(dist::journal_fingerprint_mismatch("a=1,cap=5,b=2", "a=1,cap=6,b=2"),
-            "cap=5 in the journal, cap=6 in this run");
 }
 
 // Preempt the one shard of a unit test after k executions, at about a

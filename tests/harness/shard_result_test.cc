@@ -1,7 +1,7 @@
-// Shard-result wire (v5): render/parse round trip including the rf-mode
-// class counters, strict rejection of stale wire versions, and the
-// merge-by-summation property the --jobs/--dist mergers rely on for
-// bit-identical class counts.
+// Shard-result wire (v6): render/parse round trip including the rf-mode
+// class counters, strict rejection of stale wire versions and of broken
+// records, and the merge-by-summation property the --jobs/--dist mergers
+// rely on for bit-identical class counts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -41,7 +41,7 @@ harness::RunResult full_result() {
 TEST(ShardResult, RoundTripCarriesRfCounters) {
   harness::RunResult r = full_result();
   std::string wire = harness::render_shard_result(r);
-  EXPECT_EQ(wire.rfind("shard-result v5", 0), 0u) << wire;
+  EXPECT_EQ(wire.rfind("shard-result v6", 0), 0u) << wire;
   harness::ShardResult back;
   std::string err;
   ASSERT_TRUE(harness::parse_shard_result(wire, &back, &err)) << err;
@@ -60,7 +60,8 @@ TEST(ShardResult, StaleWireVersionsAreRejected) {
   // merge with the rf counters silently missing.
   std::string wire = harness::render_shard_result(full_result());
   for (const char* old : {"shard-result v1", "shard-result v2",
-                          "shard-result v3", "shard-result v4"}) {
+                          "shard-result v3", "shard-result v4",
+                          "shard-result v5"}) {
     std::string stale = wire;
     stale.replace(0, 15, old);
     harness::ShardResult back;
@@ -78,7 +79,15 @@ TEST(ShardResult, MissingRfKeyIsRejected) {
   harness::ShardResult back;
   std::string err;
   EXPECT_FALSE(harness::parse_shard_result(wire, &back, &err));
-  EXPECT_NE(err.find("missing keys"), std::string::npos) << err;
+  EXPECT_NE(err.find("missing key 'rf_classes'"), std::string::npos) << err;
+
+  // A repeated key does not stand in for a missing one.
+  wire = harness::render_shard_result(full_result());
+  at = wire.find(" rf_infeasible=59");
+  ASSERT_NE(at, std::string::npos);
+  wire.replace(at, 17, " rf_classes=41");
+  EXPECT_FALSE(harness::parse_shard_result(wire, &back, &err));
+  EXPECT_NE(err.find("repeated key 'rf_classes'"), std::string::npos) << err;
 }
 
 TEST(ShardResult, MergeSumsRfCountersExactly) {

@@ -304,7 +304,7 @@ TEST(RfRevisit, RevisitTrailsReplayStrictly) {
     ++revisits;
     TrailFile tf;
     tf.test_name = "revisit";
-    tf.fingerprint_from(cfg);
+    tf.config = cfg;
     tf.choices = trail;
     TrailFile back;
     std::string err;

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/trace.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace cds::mc {
@@ -17,15 +19,15 @@ namespace {
 TrailFile full_trail() {
   TrailFile t;
   t.test_name = "ms-queue#2";
-  t.seed = 0x9e3779b97f4a7c15ull;
+  t.config.seed = 0x9e3779b97f4a7c15ull;
   t.kind = "data-race";
   t.detail = "read of 'head' by T2 races with write by T1";
   t.inject_site = "enqueue: tail store";
-  t.stale_read_bound = 7;
-  t.max_steps = 1234;
-  t.strengthen_to_sc = true;
-  t.enable_sleep_sets = false;
-  t.explore = ExploreMode::kRf;
+  t.config.stale_read_bound = 7;
+  t.config.max_steps = 1234;
+  t.config.strengthen_to_sc = true;
+  t.config.enable_sleep_sets = false;
+  t.config.explore = ExploreMode::kRf;
   t.choices = {
       Choice{ChoiceKind::kSchedule, 1, 2},
       Choice{ChoiceKind::kReadsFrom, 0, 3},
@@ -37,15 +39,11 @@ TrailFile full_trail() {
 void expect_equal(const TrailFile& a, const TrailFile& b) {
   EXPECT_EQ(a.backend, b.backend);
   EXPECT_EQ(a.test_name, b.test_name);
-  EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.inject_site, b.inject_site);
-  EXPECT_EQ(a.stale_read_bound, b.stale_read_bound);
-  EXPECT_EQ(a.max_steps, b.max_steps);
-  EXPECT_EQ(a.strengthen_to_sc, b.strengthen_to_sc);
-  EXPECT_EQ(a.enable_sleep_sets, b.enable_sleep_sets);
-  EXPECT_EQ(a.explore, b.explore);
+  EXPECT_EQ(support::render_record(a.config, a.inject_site),
+            support::render_record(b.config, b.inject_site));
   ASSERT_EQ(a.choices.size(), b.choices.size());
   for (std::size_t i = 0; i < a.choices.size(); ++i) {
     EXPECT_EQ(a.choices[i].kind, b.choices[i].kind) << "choice " << i;
@@ -66,7 +64,7 @@ TEST(Trace, RoundTripMinimalTrail) {
   // Optional fields absent, empty choice list.
   TrailFile t;
   t.test_name = "litmus";
-  t.seed = 1;
+  t.config.seed = 1;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(render_trail(t), &back, &err)) << err;
@@ -79,16 +77,18 @@ TEST(Trace, RoundTripPropertyOverRandomTrails) {
     TrailFile t;
     t.test_name = "bench-" + std::to_string(rng.next() % 100) + "#" +
                   std::to_string(rng.next() % 8);
-    t.seed = rng.next();
+    t.config.seed = rng.next();
     if (rng.next() % 2 != 0) t.kind = "user-assertion";
     if (rng.next() % 2 != 0) t.detail = "multi word detail " +
                                         std::to_string(rng.next());
-    t.stale_read_bound = static_cast<std::uint32_t>(rng.next() % 100);
-    t.max_steps = rng.next() % 100000;
-    t.strengthen_to_sc = rng.next() % 2 != 0;
-    t.enable_sleep_sets = rng.next() % 2 != 0;
-    t.explore =
+    if (rng.next() % 2 != 0) t.inject_site = "deq: head->next load";
+    t.config.stale_read_bound = static_cast<std::uint32_t>(rng.next() % 100);
+    t.config.max_steps = rng.next() % 100000;
+    t.config.strengthen_to_sc = rng.next() % 2 != 0;
+    t.config.enable_sleep_sets = rng.next() % 2 != 0;
+    t.config.explore =
         rng.next() % 2 != 0 ? ExploreMode::kRf : ExploreMode::kSchedule;
+    t.config.time_budget_seconds = static_cast<double>(rng.next() % 1000) / 7;
     std::size_t n = rng.next() % 40;
     for (std::size_t i = 0; i < n; ++i) {
       auto num = static_cast<std::uint16_t>(2 + rng.next() % 200);
@@ -143,13 +143,13 @@ TEST(Trace, EveryTruncationIsRejectedWithActionableError) {
 
 TEST(Trace, VersionMismatchNamesBothVersions) {
   std::string text = render_trail(full_trail());
-  text.replace(text.find("v3"), 2, "v9");
+  text.replace(text.find("v4"), 2, "v9");
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail(text, &back, &err));
   EXPECT_NE(err.find("unsupported .trail version v9"), std::string::npos)
       << err;
-  EXPECT_NE(err.find("v3"), std::string::npos) << err;
+  EXPECT_NE(err.find("v4"), std::string::npos) << err;
 }
 
 TEST(Trace, WrongMagicIsRejected) {
@@ -210,7 +210,7 @@ TEST(Trace, StressBackendTrailRoundTrips) {
   // the thread-major preemption decision stream (4 alternatives each).
   TrailFile t;
   t.test_name = "concurrent-hashmap#0";
-  t.seed = 0xBADC0DEull;
+  t.config.seed = 0xBADC0DEull;
   t.backend = "stress";
   t.kind = "spec-assertion";
   t.detail = "postcondition of get(1)=10 [T2] failed (S_RET=0)";
@@ -250,41 +250,39 @@ TEST(Trace, UnknownBackendTokenIsRejected) {
   EXPECT_NE(err.find("unknown backend 'quantum'"), std::string::npos) << err;
 }
 
-TEST(Trace, ExploreScheduleTokenNormalizesToAbsent) {
-  // "explore schedule" is accepted for symmetry but normalizes to the
-  // default, and the renderer only emits the line for rf trails — so
-  // schedule-mode trails stay byte-identical to pre-rf ones.
+TEST(Trace, ExploreScheduleTokenRoundTrips) {
+  // The mode is a key of the config record, rendered for both modes.
   TrailFile t = full_trail();
-  t.explore = ExploreMode::kSchedule;
+  t.config.explore = ExploreMode::kSchedule;
   std::string text = render_trail(t);
-  EXPECT_EQ(text.find("explore"), std::string::npos) << text;
-  text.insert(text.find("config "), "explore schedule\n");
+  EXPECT_NE(text.find(" explore=schedule "), std::string::npos) << text;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(text, &back, &err)) << err;
-  EXPECT_EQ(back.explore, ExploreMode::kSchedule);
+  EXPECT_EQ(back.config.explore, ExploreMode::kSchedule);
   expect_equal(t, back);
 }
 
 TEST(Trace, RfTrailCarriesExploreLine) {
   TrailFile t = full_trail();
   std::string text = render_trail(t);
-  EXPECT_NE(text.find("explore rf"), std::string::npos) << text;
+  EXPECT_NE(text.find(" explore=rf "), std::string::npos) << text;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(text, &back, &err)) << err;
-  EXPECT_EQ(back.explore, ExploreMode::kRf);
+  EXPECT_EQ(back.config.explore, ExploreMode::kRf);
 }
 
 TEST(Trace, UnknownExploreModeIsRejected) {
   std::string text = render_trail(full_trail());
-  std::size_t at = text.find("explore rf");
+  std::size_t at = text.find("explore=rf");
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, 10, "explore povo");
+  text.replace(at, 10, "explore=povo");
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail(text, &back, &err));
-  EXPECT_NE(err.find("unknown explore mode"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad value 'povo' for key 'explore'"), std::string::npos)
+      << err;
 }
 
 TEST(Trace, FileIoRoundTripsAndRejectsMissingFile) {
@@ -301,22 +299,29 @@ TEST(Trace, FileIoRoundTripsAndRejectsMissingFile) {
 }
 
 TEST(Trace, FingerprintMismatchNamesTheFlag) {
+  // A trail's config line against another run's config: the codec names
+  // the first key that differs, the injection site included.
   TrailFile t = full_trail();
-  Config cfg;
-  t.apply_fingerprint(&cfg);
-  EXPECT_EQ(t.fingerprint_mismatch(cfg), "");
+  const std::string recorded = support::render_record(t.config, t.inject_site);
+  Config cfg = t.config;
+  EXPECT_EQ(support::difference(recorded,
+                                support::render_record(cfg, t.inject_site)),
+            std::make_pair(std::string(), std::string()));
   cfg.stale_read_bound = 99;
-  EXPECT_NE(t.fingerprint_mismatch(cfg).find("--stale"), std::string::npos);
-  t.apply_fingerprint(&cfg);
-  cfg.test_name = "other#0";
-  EXPECT_NE(t.fingerprint_mismatch(cfg).find("test mismatch"),
-            std::string::npos);
-  t.apply_fingerprint(&cfg);
+  EXPECT_EQ(support::difference(recorded,
+                                support::render_record(cfg, t.inject_site)),
+            std::make_pair(std::string("stale=7"), std::string("stale=99")));
+  cfg = t.config;
   cfg.explore = ExploreMode::kSchedule;
-  std::string msg = t.fingerprint_mismatch(cfg);
-  EXPECT_NE(msg.find("--explore"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("'rf'"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("'schedule'"), std::string::npos) << msg;
+  EXPECT_EQ(support::difference(recorded,
+                                support::render_record(cfg, t.inject_site)),
+            std::make_pair(std::string("explore=rf"),
+                           std::string("explore=schedule")));
+  const std::string no_site;
+  EXPECT_EQ(support::difference(recorded,
+                                support::render_record(t.config, no_site)),
+            std::make_pair(std::string("inject=enqueue:\\stail\\sstore"),
+                           std::string("inject=")));
 }
 
 }  // namespace

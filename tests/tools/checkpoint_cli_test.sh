@@ -1,8 +1,8 @@
 #!/bin/sh
 # Serial --checkpoint end to end through cdsspec-run: a run SIGKILLed
 # after its 2nd journal append resumes to the plain run's counters,
-# verdict and --trail-out repro, and a resume under a changed --cap is
-# refused (exit 2) with a message naming the field.
+# verdict and --trail-out repro, and a resume under a changed --cap or
+# another --inject is refused (exit 2) with a message naming the field.
 #
 # usage: checkpoint_cli_test.sh <path to cdsspec-run>
 set -u
@@ -36,4 +36,24 @@ cmp plain.trail resumed.trail || fail "resumed --trail-out differs"
 test $? -eq 2 || fail "resume under a changed --cap was accepted"
 grep -q 'cap=0 in the journal, cap=5 in this run' refused.err ||
   fail "refusal does not name the cap: $(cat refused.err)"
+
+# The journal carries the injection site: resuming it without --inject,
+# under another site, or an uninjected journal under --inject is refused.
+"$run" ticket-lock --checkpoint s.journal --resume > /dev/null 2> plain.err
+test $? -eq 2 || fail "resume without the journal's --inject was accepted"
+grep -q 'inject=.* in the journal, inject= in this run' plain.err ||
+  fail "refusal does not name inject: $(cat plain.err)"
+"$run" ticket-lock --inject 1 --checkpoint s.journal --resume \
+  > /dev/null 2> other.err
+test $? -eq 2 || fail "resume under another --inject was accepted"
+grep -q '(inject=' other.err ||
+  fail "refusal does not name inject: $(cat other.err)"
+"$run" ms-queue --explore rf --checkpoint m.journal \
+  --chaos-coord-kill-append 3 > /dev/null 2>&1
+test $? -eq 137 || fail "ms-queue journaled run was not killed"
+"$run" ms-queue --explore rf --inject 0 --checkpoint m.journal --resume \
+  > /dev/null 2> weakened.err
+test $? -eq 2 || fail "an uninjected journal resumed under --inject 0"
+grep -q 'inject= in the journal, inject=' weakened.err ||
+  fail "refusal does not name inject: $(cat weakened.err)"
 echo "ok"

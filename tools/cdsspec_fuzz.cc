@@ -31,7 +31,6 @@
 // variant (test-only): the run must then FIND disagreements; used by the
 // self-validation tests to prove the oracles have teeth.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +52,7 @@
 #include "fuzz/program.h"
 #include "mc/trace.h"
 #include "obs/metrics.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace {
@@ -76,25 +76,8 @@ void usage() {
       "exit codes: 0 all oracles agreed, 1 disagreement found, 2 usage\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const char* s, double* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || v < 0.0) return false;
-  *out = v;
-  return true;
-}
+using cds::support::parse_double;
+using cds::support::parse_u64;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -166,8 +149,7 @@ bool apply_witness_test_name(const std::string& name, cds::fuzz::Program* p) {
     idx = idx.substr(0, idx.size() - 5);
   }
   std::uint64_t t = 0, i = 0;
-  if (!parse_u64(rest.substr(0, dot).c_str(), &t) ||
-      !parse_u64(idx.c_str(), &i)) {
+  if (!parse_u64(rest.substr(0, dot), &t) || !parse_u64(idx, &i)) {
     return false;
   }
   site.thread = static_cast<int>(t);
@@ -328,12 +310,12 @@ bool cross_backend_disagrees(const cds::fuzz::Program& p,
   tf.test_name = "litmus";
   tf.kind = "cross-backend";
   tf.detail = extra.front();
-  tf.seed = cfg.seed;
+  tf.config.seed = cfg.seed;
   std::uint64_t iseed = 0;
   std::vector<cds::mc::Choice> dec;
   if (find_stress_witness(p, ex.stress_iters, cfg.seed, extra.front(),
                           &iseed, &dec)) {
-    tf.seed = iseed;
+    tf.config.seed = iseed;
     tf.choices = std::move(dec);
   }
   std::string terr;
@@ -406,13 +388,12 @@ int replay_files(const std::vector<std::string>& files,
                          "this program; re-running full oracles\n",
                          tpath.c_str(), tf.test_name.c_str());
           } else {
-            cds::fuzz::OracleConfig rcfg = cfg;
-            rcfg.seed = tf.seed;
-            rcfg.stale_read_bound = tf.stale_read_bound;
-            rcfg.max_steps = tf.max_steps;
+            // The trail's config is the one the witness ran under (its
+            // hook, explore mode and sleep-set setting included), so the
+            // command line's flags do not matter here.
             std::string behavior, rerr;
-            if (!cds::fuzz::replay_behavior(wp, rcfg, tf.choices, &behavior,
-                                            &rerr)) {
+            if (!cds::fuzz::replay_behavior(wp, tf.config, tf.choices,
+                                            &behavior, &rerr)) {
               std::fprintf(stderr,
                            "cdsspec-fuzz: %s: trail replay diverged (%s); "
                            "re-running full oracles\n",
@@ -658,9 +639,7 @@ int main(int argc, char** argv) {
         if (cds::fuzz::witness_trail(r.program, tcfg, d.oracle, &wt)) {
           cds::mc::TrailFile tf;
           tf.test_name = witness_test_name(wt);
-          tf.seed = tcfg.seed;
-          tf.stale_read_bound = tcfg.stale_read_bound;
-          tf.max_steps = tcfg.max_steps;
+          tf.config = wt.config;
           tf.kind = cds::fuzz::to_string(d.oracle);
           tf.detail = wt.behavior;
           tf.choices = wt.choices;

@@ -39,13 +39,12 @@
 //        --no-sleep-sets, --stop-on-violation, --reports
 //
 // Exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error
-//             (also: replay divergence, resume fingerprint mismatch),
+//             (also: replay divergence, resume config mismatch),
 //             3 inconclusive (budget/cap hit; sampled without a finding).
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +59,7 @@
 #include "obs/trace_export.h"
 #include "spec/checker.h"
 #include "spec/render.h"
+#include "support/record.h"
 #include "support/rng.h"
 
 namespace {
@@ -93,33 +93,17 @@ void usage() {
       "            (also replay divergence / resume mismatch), 3 inconclusive\n");
 }
 
-// Strict numeric parsing: the whole argument must be a non-negative
-// number. Rejects the silent garbage atoi accepts ("-3", "2x", "").
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const char* s, double* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || v < 0.0) return false;
-  *out = v;
-  return true;
-}
+// Strict numeric parsing (support/record.h): the whole argument must be a
+// non-negative number. Rejects the silent garbage atoi accepts ("-3",
+// "2x", "", " -5").
+using cds::support::parse_double;
+using cds::support::parse_u64;
 
 // Fetches the value of flag `name` at argv[i+1], parses it with `parse`,
 // and advances i. Prints usage and returns false on any failure.
 template <typename T>
 bool flag_value(int argc, char** argv, int* i, const char* name, T* out,
-                bool (*parse)(const char*, T*)) {
+                bool (*parse)(std::string_view, T*)) {
   if (*i + 1 >= argc) {
     std::fprintf(stderr, "cdsspec-run: %s requires a value\n", name);
     usage();
@@ -148,7 +132,7 @@ bool flag_str(int argc, char** argv, int* i, const char* name,
 }
 
 // `cdsspec-run --replay-trail FILE`: load a .trail repro, resolve its
-// "<benchmark>#<index>" test, apply the recorded config fingerprint, and
+// "<benchmark>#<index>" test, take on the recorded config, and
 // strictly re-execute that single execution — the debug-build replay
 // determinism assertion is a runtime divergence check here. Exit 1 when the
 // recorded violation reproduces, 0 on a clean replay, 2 on any divergence
@@ -164,7 +148,7 @@ int replay_trail(const std::string& path) {
   auto hash = tf.test_name.find('#');
   std::uint64_t test_idx = 0;
   if (hash == std::string::npos ||
-      !parse_u64(tf.test_name.c_str() + hash + 1, &test_idx)) {
+      !parse_u64(std::string_view(tf.test_name).substr(hash + 1), &test_idx)) {
     std::fprintf(stderr,
                  "cdsspec-run: trail '%s' is for test '%s', not a "
                  "'<benchmark>#<index>' registry test (litmus trails replay "
@@ -193,22 +177,14 @@ int replay_trail(const std::string& path) {
 
   // The trail was recorded with this injection active; the weakened memory
   // order shapes the choice tree, so replay needs it too.
+  if (!cds::inject::activate_site(bench, tf.inject_site)) {
+    std::fprintf(stderr,
+                 "cdsspec-run: trail '%s' was recorded with injection site "
+                 "'%s', which this build does not have (try --sites)\n",
+                 path.c_str(), tf.inject_site.c_str());
+    return kExitUsage;
+  }
   if (!tf.inject_site.empty()) {
-    bool found = false;
-    for (const auto& s : cds::inject::sites_for(bench)) {
-      if (s.name == tf.inject_site) {
-        cds::inject::inject(s.id);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr,
-                   "cdsspec-run: trail '%s' was recorded with injection site "
-                   "'%s', which this build does not have (try --sites)\n",
-                   path.c_str(), tf.inject_site.c_str());
-      return kExitUsage;
-    }
     std::printf("re-activating injection: %s\n", tf.inject_site.c_str());
   }
 
@@ -218,7 +194,7 @@ int replay_trail(const std::string& path) {
   if (tf.backend == "stress") {
     cds::harness::StressOptions sopts;
     cds::harness::StressBackend be(sopts);
-    be.run_iteration(b->tests[test_idx], tf.seed);
+    be.run_iteration(b->tests[test_idx], tf.config.seed);
     cds::spec::ObservedCheckResult oc = cds::spec::check_observed_calls(
         be.iteration_recorder().calls(), sopts.max_histories);
     if (oc.violation) {
@@ -232,7 +208,7 @@ int replay_trail(const std::string& path) {
     }
     std::printf("re-ran one stress iteration of %s under seed %llu\n",
                 tf.test_name.c_str(),
-                static_cast<unsigned long long>(tf.seed));
+                static_cast<unsigned long long>(tf.config.seed));
     const auto& vs = be.iteration_violations();
     if (!vs.empty()) {
       for (const auto& kv : vs) {
@@ -247,8 +223,8 @@ int replay_trail(const std::string& path) {
     return kExitVerified;
   }
 
-  cds::mc::Config cfg;
-  tf.apply_fingerprint(&cfg);
+  cds::mc::Config cfg = tf.config;
+  cfg.test_name = tf.test_name;
   cfg.test_index = static_cast<std::uint32_t>(test_idx);
   cds::mc::Engine engine(cfg);
   cds::spec::SpecChecker::Options copts;
@@ -1021,10 +997,10 @@ int main(int argc, char** argv) {
       } else {
         const auto& [ti, v] = found.front();
         cds::mc::TrailFile tf;
-        tf.fingerprint_from(opts.engine);
+        tf.config = opts.engine;
+        tf.config.seed = v.iter_seed;
         tf.backend = "stress";
         tf.test_name = b->name + "#" + std::to_string(ti);
-        tf.seed = v.iter_seed;
         tf.kind = cds::mc::wire_name(v.kind);
         tf.detail = v.detail;
         tf.inject_site = injected_site_name;
@@ -1178,7 +1154,7 @@ int main(int argc, char** argv) {
                    "trail this run; nothing written\n");
     } else {
       cds::mc::TrailFile tf;
-      tf.fingerprint_from(opts.engine);
+      tf.config = opts.engine;
       tf.test_name = b->name + "#" + std::to_string(pick->test_index);
       tf.kind = cds::mc::wire_name(pick->kind);
       tf.detail = pick->detail;
