@@ -17,8 +17,9 @@ namespace cds::dist {
 
 struct ChaosOptions {
   // SIGKILL the whole worker process the moment it receives its Nth
-  // assignment (before forking the shard child): the coordinator sees the
-  // connection drop mid-lease and must retry the shard elsewhere.
+  // assignment (before handing it to the shard child, which dies with
+  // it): the coordinator sees the connection drop mid-lease and must
+  // retry the shard elsewhere.
   std::ptrdiff_t kill_on_assignment = -1;
 
   // Stop sending heartbeats from the Nth assignment on, while the shard

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -16,16 +17,14 @@
 #include "harness/parallel.h"
 #include "harness/shard_result.h"
 #include "inject/inject.h"
+#include "mc/shard.h"
 #include "support/io.h"
 #include "support/rng.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CDS_DIST_COORD_POSIX 1
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace cds::dist {
 
@@ -62,7 +61,6 @@ struct Slot {
   double next_eligible = 0.0;  // backoff gate for the next assignment
   double assigned_at = 0.0;    // of the current attempt (steal age)
   int last_fd = -1;            // connection of the latest attempt
-  bool stolen = false;         // one preemption request per attempt
 };
 
 struct Coordinator {
@@ -82,6 +80,8 @@ struct Coordinator {
   // 32 bits so a resumed coordinator's fresh ids can never collide with
   // ids a surviving worker still holds from the crashed incarnation.
   std::uint64_t epoch = 0;
+  mc::StealRule steal{};
+  std::vector<mc::RunningUnit> running{};  // scratch for the steal rule
 
   double backoff_for(const Slot& s, std::uint64_t attempt_id) const {
     double base = d.retry_backoff_seconds;
@@ -329,7 +329,6 @@ struct Coordinator {
       ++s.attempts;
       s.assigned_at = now;
       s.last_fd = c.fd;
-      s.stolen = false;
       live[asg.shard_id] = Attempt{pick, c.fd, now + d.lease_seconds};
       c.attempt = asg.shard_id;
       // Journaled before the assignment leaves: a resumed coordinator
@@ -347,48 +346,38 @@ struct Coordinator {
     }
   }
 
-  void maybe_steal() {
-    if (!d.enable_steal) return;
+  // Work stealing under the fork pool's rule (mc::StealRule). Returns the
+  // time the rule next needs a look, if it waits for a shard to age.
+  double maybe_steal() {
+    double wake = std::numeric_limits<double>::infinity();
+    if (!d.enable_steal) return wake;
     bool idle = false;
     for (const Conn& c : conns) {
       if (!c.dead && c.greeted && c.attempt == 0) idle = true;
     }
-    if (!idle || table.any_pending()) return;  // nobody idle, or queue not dry
-    const double now = now_seconds();
-    const double steal_after =
-        d.steal_after_seconds > 0 ? d.steal_after_seconds
-                                  : d.lease_seconds / 2.0;
-    std::uint64_t victim = 0;
-    double oldest = now;
+    running.clear();
     for (const auto& [id, at] : live) {
-      const Slot& s = slots[at.shard];
-      if (!table.running(at.shard) || !table.splittable(at.shard) ||
-          s.stolen) {
-        continue;
-      }
-      if (now - s.assigned_at < steal_after) continue;
-      if (s.assigned_at < oldest) {
-        oldest = s.assigned_at;
-        victim = id;
-      }
+      running.push_back(mc::RunningUnit{
+          id, slots[at.shard].assigned_at,
+          table.running(at.shard) && table.splittable(at.shard)});
     }
-    if (victim == 0) return;
-    const Attempt at = live[victim];
+    const std::size_t v = steal.pick(idle && !table.any_pending(), running,
+                                     now_seconds(), &wake);
+    if (v == running.size()) return wake;
+    const Attempt& at = live[running[v].id];
     for (Conn& c : conns) {
       if (!c.dead && c.fd == at.fd) {
-        if (send_to(c, render_steal(victim), "steal")) {
-          slots[at.shard].stolen = true;
-          ++dr.steals;
-        }
-        return;
+        if (send_to(c, render_steal(running[v].id), "steal")) ++dr.steals;
+        break;
       }
     }
+    return wake;
   }
 };
 
 // Runs every still-unresolved shard on the local fork pool (the graceful
-// degradation path, and the whole path on platforms without sockets): the
-// same stealing pool --jobs uses, feeding the same table.
+// degradation path): the same stealing pool --jobs uses, feeding the same
+// table.
 void run_remaining_locally(const harness::Benchmark& b,
                            const harness::RunOptions& opts,
                            const DistOptions& d, ShardTable& table,
@@ -437,7 +426,6 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
   // sockets and workers just to have the main loop exit instantly.
   const bool need_work = !table.all_resolved();
 
-#ifdef CDS_DIST_COORD_POSIX
   std::string listen_spec = d.listen;
   bool auto_socket = false;
   if (listen_spec.empty()) {
@@ -491,6 +479,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
                    {}, {}, 0, 0, now_seconds()};
     co.epoch = epoch;
     const double start = now_seconds();
+    double steal_wake = std::numeric_limits<double>::infinity();
     while (!table.all_resolved()) {
       // Graceful degradation: nobody ever connected, or everybody left
       // and stayed away. Revoke what's in flight and finish locally.
@@ -521,7 +510,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       // Sleep in poll(2) until the earliest timer the loop acts on, not
       // a fixed tick: socket traffic wakes poll by itself, so the only
       // deadlines are lease expiries, retry-backoff gates, the
-      // steal-age threshold, and the graceful-degradation deadline.
+      // steal rule's age threshold, and the graceful-degradation deadline.
       // Capped at 1s so clock surprises can't park the loop for long.
       double wake = now + 1.0;
       const auto consider = [&wake](double t) { wake = std::min(wake, t); };
@@ -541,18 +530,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
           consider(co.slots[sidx].next_eligible);
         }
       }
-      if (d.enable_steal) {
-        const double steal_after = d.steal_after_seconds > 0
-                                       ? d.steal_after_seconds
-                                       : d.lease_seconds / 2.0;
-        for (const auto& [id, at] : co.live) {
-          const Slot& s = co.slots[at.shard];
-          if (table.running(at.shard) && table.splittable(at.shard) &&
-              !s.stolen) {
-            consider(s.assigned_at + steal_after);
-          }
-        }
-      }
+      consider(steal_wake);
       const int timeout_ms = std::clamp(
           static_cast<int>((wake - now) * 1000.0) + 1, 1, 1000);
       int rc = poll(pfds.data(), pfds.size(), timeout_ms);
@@ -579,7 +557,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
 
       co.sweep_leases();
       co.assign_ready();
-      co.maybe_steal();
+      steal_wake = co.maybe_steal();
     }
 
     for (Conn& c : co.conns) {
@@ -591,36 +569,35 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
     if (auto_socket) unlink(addr.path.c_str());
 
     // Reap forked workers: quit/EOF ends them promptly; SIGKILL the rest
-    // (hung, or parked in a reconnect dial loop) after a short grace.
-    for (int pass = 0; pass < 2; ++pass) {
+    // (hung, or parked in a reconnect dial loop) after a one-second grace.
+    // The probe interval starts at 0.1 ms and doubles up to 10 ms, so a
+    // worker that exits at once is reaped at once.
+    const double grace_end = now_seconds() + 1.0;
+    for (double step = 1e-4;; step = std::min(step * 2.0, 1e-2)) {
+      bool left = false;
       for (pid_t& pid : worker_pids) {
         if (pid <= 0) continue;
-        for (int spin = 0; spin < 50; ++spin) {
-          int status = 0;
-          pid_t got = waitpid(pid, &status, WNOHANG);
-          if (got == pid || (got < 0 && errno == ECHILD)) {
-            pid = -1;
-            break;
-          }
-          if (pass == 0) break;  // first pass: one WNOHANG probe only
-          usleep(20 * 1000);
-        }
-        if (pass == 1 && pid > 0) {
-          kill(pid, SIGKILL);
-          int status = 0;
-          waitpid(pid, &status, 0);
+        int status = 0;
+        const pid_t got = waitpid(pid, &status, WNOHANG);
+        if (got == pid || (got < 0 && errno == ECHILD)) {
           pid = -1;
+        } else {
+          left = true;
         }
       }
+      if (!left || now_seconds() >= grace_end) break;
+      usleep(static_cast<useconds_t>(step * 1e6));
+    }
+    for (pid_t pid : worker_pids) {
+      if (pid <= 0) continue;
+      kill(pid, SIGKILL);
+      int status = 0;
+      waitpid(pid, &status, 0);
     }
   }
-#else
-  (void)need_work;
-  dr.listen_address = d.listen;
-#endif
 
-  // Anything unresolved (no sockets on this platform, listen failure,
-  // fallback trigger) finishes on the local fork pool.
+  // Anything unresolved (listen failure, fallback trigger) finishes on
+  // the local fork pool.
   run_remaining_locally(b, opts, d, table, dr);
   dr.shards = table.size();
   dr.steal_subshards = table.minted();

@@ -12,9 +12,11 @@
 //     exponential backoff + deterministic jitter, up to max_shard_retries;
 //     after that the shard is recorded as a contained permanent failure
 //     (verdict degrades to inconclusive, the run completes);
-//   - when the queue drains while long shards still run, the coordinator
-//     asks the oldest running shard's worker to preempt (work stealing;
-//     never under a time or memory budget, see ShardTable::splittable);
+//   - when a worker is idle and the queue is dry, the coordinator asks
+//     the worker of the oldest running shard to preempt it under the fork
+//     pool's steal rule (mc::StealRule: once the shard has run 2 ms, one
+//     request at a time; never under a time or memory budget, see
+//     ShardTable::splittable);
 //     the preempted partial result plus the sub-shards split from its
 //     frontier (mc::split_remaining_frontier) cover exactly the executions
 //     the undisturbed shard would have explored, keeping merged counters
@@ -25,7 +27,8 @@
 //     `--dist-workers` never strands a run.
 //
 // Shards, the journal and the merge live in the shard table both
-// executors share (dist/shard_table.h).
+// schedulers share (dist/shard_table.h), and every shard runs in a unit
+// child (mc/shard.h): a worker's long-lived one, or a fork-pool worker.
 //
 // All dist bookkeeping (retries, leases, steals, reconnects) is exported
 // as dist.* gauges, never counters: the deterministic counter set must
@@ -60,9 +63,6 @@ struct DistOptions {
   // Fall back to the local fork pool when no worker has connected this
   // long after startup, or when all workers are gone this long.
   double connect_deadline_seconds = 5.0;
-  // Steal from a running shard only after it has held its assignment this
-  // long. 0 = half the lease.
-  double steal_after_seconds = 0.0;
   // Base for the exponential retry backoff (doubled per attempt, plus
   // deterministic jitter derived from the engine seed and attempt id).
   double retry_backoff_seconds = 0.05;

@@ -13,20 +13,16 @@
 #include "dist/protocol.h"
 #include "harness/shard_result.h"
 #include "inject/inject.h"
+#include "mc/shard.h"
 #include "support/io.h"
 #include "support/rng.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CDS_DIST_WORKER_POSIX 1
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace cds::dist {
-
-#ifdef CDS_DIST_WORKER_POSIX
 
 namespace {
 
@@ -72,6 +68,8 @@ struct WorkerState {
   double hb_interval = 1.0;  // from welcome; refreshed per connection
   std::uint64_t epoch = 0;   // coordinator incarnation, from welcome
   std::uint64_t assignments = 0;  // across reconnects (chaos ordinals)
+  // The long-lived shard child; restarted after it dies.
+  mc::UnitChild child;
 };
 
 // Flips the version line so the coordinator's strict parser rejects the
@@ -104,84 +102,44 @@ bool send_result(WorkerState& ws, const WorkerOptions& opts, std::uint64_t id,
          support::write_full(ws.fd, text);
 }
 
-// Runs one assignment to completion while keeping the coordinator
+// The benchmark `a` names, with its injection armed in this process; null
+// with *why set when this build cannot explore it faithfully.
+const harness::Benchmark* arm(const Assignment& a,
+                              const BenchmarkResolver& resolve,
+                              std::string* why) {
+  const harness::Benchmark* b = resolve(a.bench);
+  if (b == nullptr) {
+    *why = "unknown benchmark '" + a.bench + "'";
+  } else if (a.unit.test_index >= b->tests.size()) {
+    *why = "test index out of range for '" + a.bench + "'";
+  } else if (!inject::activate_site(a.bench, a.inject_site)) {
+    *why = "no injection site '" + a.inject_site + "' for '" + a.bench +
+           "' in this build";
+  } else {
+    return b;
+  }
+  return nullptr;
+}
+
+// Runs one assignment on the shard child while keeping the coordinator
 // conversation alive (heartbeats out, steal/quit in).
 Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
-                       const BenchmarkResolver& resolve, const Assignment& a) {
-  const harness::Benchmark* b = resolve(a.bench);
+                       const BenchmarkResolver& resolve,
+                       const mc::UnitWork& work, const Assignment& a,
+                       const std::string& payload) {
   std::string why;
-  if (b == nullptr) {
-    why = "unknown benchmark '" + a.bench + "'";
-  } else if (a.unit.test_index >= b->tests.size()) {
-    why = "test index out of range for '" + a.bench + "'";
-  } else if (!inject::activate_site(a.bench, a.inject_site)) {
-    // The shard child inherits exactly the assignment's injection, or
-    // none; a site this build lacks cannot be explored faithfully.
-    why = "no injection site '" + a.inject_site + "' for '" + a.bench +
-          "' in this build";
-  }
-  if (!why.empty()) {
+  if (arm(a, resolve, &why) == nullptr) {
     return support::write_full(ws.fd, render_failed(a.shard_id, why))
                ? Outcome::kDone
                : Outcome::kConnLost;
   }
-
-  int stop_pipe[2], res_pipe[2];
-  if (pipe(stop_pipe) != 0) {
-    return support::write_full(ws.fd, render_failed(a.shard_id, "pipe failed"))
-               ? Outcome::kDone
-               : Outcome::kConnLost;
-  }
-  if (pipe(res_pipe) != 0) {
-    close(stop_pipe[0]);
-    close(stop_pipe[1]);
-    return support::write_full(ws.fd, render_failed(a.shard_id, "pipe failed"))
-               ? Outcome::kDone
-               : Outcome::kConnLost;
-  }
-
-  pid_t child = fork();
-  if (child < 0) {
-    close(stop_pipe[0]);
-    close(stop_pipe[1]);
-    close(res_pipe[0]);
-    close(res_pipe[1]);
+  if (!ws.child.running() && !ws.child.start(work, {ws.fd})) {
     return support::write_full(ws.fd, render_failed(a.shard_id, "fork failed"))
                ? Outcome::kDone
                : Outcome::kConnLost;
   }
-  if (child == 0) {
-    // Shard child: no coordinator socket, a stop pipe in, a result pipe
-    // out. A crash in the test body kills only this process.
-    close(ws.fd);
-    close(stop_pipe[1]);
-    close(res_pipe[0]);
-    const int stop_fd = stop_pipe[0];
-    harness::RunOptions base;
-    base.engine = a.engine;
-    base.checker = a.checker;
-    base.engine.progress_interval_seconds = opts.progress_interval_seconds;
-    auto stop_request = [stop_fd]() {
-      pollfd p{};
-      p.fd = stop_fd;
-      p.events = POLLIN;
-      // Preempt on a steal byte — or on parent death (HUP): an orphaned
-      // shard should wind down, not burn CPU for a result nobody reads.
-      return poll(&p, 1, 0) > 0 &&
-             (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-    };
-    const std::string text =
-        harness::run_shard_unit(*b, base, a.unit, stop_request);
-    (void)support::write_full(res_pipe[1], text);
-    _exit(0);
-  }
+  ws.child.assign(a.shard_id, payload);
 
-  close(stop_pipe[0]);
-  close(res_pipe[1]);
-  const int stop_w = stop_pipe[1];
-  const int res_r = res_pipe[0];
-  std::string result_text;
-  bool child_eof = false;
   const bool mute_hb =
       opts.chaos.mute_heartbeats_on >= 0 &&
       static_cast<std::uint64_t>(opts.chaos.mute_heartbeats_on) <=
@@ -193,14 +151,14 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
   double next_hb = now_seconds() + ws.hb_interval;
   Outcome out = Outcome::kDone;
   bool done = false;
+  bool computing = true;  // the child still holds the unit
 
   while (!done) {
     pollfd pfds[2];
     pfds[0] = {ws.fd, POLLIN, 0};
-    pfds[1] = {res_r, POLLIN, 0};
+    pfds[1] = {ws.child.result_fd(), POLLIN, 0};
     const double wait = next_hb - now_seconds();
-    int rc = poll(pfds, child_eof ? 1 : 2,
-                  wait <= 0 ? 0 : static_cast<int>(wait * 1000) + 1);
+    int rc = poll(pfds, 2, wait <= 0 ? 0 : static_cast<int>(wait * 1000) + 1);
     if (rc < 0 && errno != EINTR) {
       out = Outcome::kConnLost;
       break;
@@ -238,7 +196,7 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
           break;
         }
         if (c.kind == ControlLine::Kind::kSteal && c.shard_id == a.shard_id) {
-          (void)support::write_full(stop_w, "s", 1);
+          ws.child.stop(a.shard_id);
         }
         // Anything else mid-assignment (another assign, a stray welcome)
         // is a coordinator bug; ignore rather than desync.
@@ -250,50 +208,39 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
       if (done) break;
     }
 
-    if (!child_eof && (pfds[1].revents & (POLLIN | POLLHUP | POLLERR))) {
-      char tmp[65536];
-      long got = support::read_some(res_r, tmp, sizeof tmp);
-      if (got > 0) {
-        result_text.append(tmp, static_cast<std::size_t>(got));
-      } else {
-        child_eof = true;
-        int status = 0;
-        waitpid(child, &status, 0);
-        child = -1;
-        bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
-                  !result_text.empty();
-        if (ok) {
-          const double hold = hold_until - now_seconds();
-          if (mute_hb && hold > 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(hold));
-          }
-          if (!send_result(ws, opts, a.shard_id, std::move(result_text))) {
-            out = Outcome::kConnLost;
-          }
-        } else {
-          std::string why = "shard child ";
-          if (WIFSIGNALED(status)) {
-            why += "killed by signal " + std::to_string(WTERMSIG(status));
-          } else {
-            why += "exited " + std::to_string(WEXITSTATUS(status));
-            if (result_text.empty()) why += " with no result";
-          }
-          if (!support::write_full(ws.fd, render_failed(a.shard_id, why))) {
-            out = Outcome::kConnLost;
-          }
-        }
-        done = true;
+    if ((pfds[1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    std::uint64_t idx = 0;
+    std::string text;
+    const mc::UnitChild::Read r = ws.child.read(&idx, &text);
+    if (r == mc::UnitChild::Read::kPending) continue;
+    done = true;
+    computing = false;
+    if (r == mc::UnitChild::Read::kResult && idx == a.shard_id &&
+        !text.empty()) {
+      const double hold = hold_until - now_seconds();
+      if (mute_hb && hold > 0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(hold));
       }
+      if (!send_result(ws, opts, a.shard_id, std::move(text))) {
+        out = Outcome::kConnLost;
+      }
+      continue;
+    }
+    // The child died, or answered with no result or for another unit; a
+    // new child serves the next assignment. Its wait status says how.
+    if (r == mc::UnitChild::Read::kResult) ws.child.finish(/*kill=*/true);
+    const int st = ws.child.status();
+    why = WIFSIGNALED(st)
+              ? "shard child killed by signal " + std::to_string(WTERMSIG(st))
+              : "shard child exited " + std::to_string(WEXITSTATUS(st)) +
+                    " with no result";
+    if (!support::write_full(ws.fd, render_failed(a.shard_id, why))) {
+      out = Outcome::kConnLost;
     }
   }
 
-  if (child > 0) {
-    kill(child, SIGKILL);
-    int status = 0;
-    waitpid(child, &status, 0);
-  }
-  close(stop_w);
-  close(res_r);
+  // Quit or a lost connection mid-unit: nobody will read its result.
+  if (computing) ws.child.finish(/*kill=*/true);
   return out;
 }
 
@@ -312,7 +259,27 @@ int run_worker(const std::string& addr, const WorkerOptions& opts) {
         return harness::find_benchmark(name);
       };
 
+  // The shard child's side: arm the assignment's benchmark and injection
+  // in the child, run the shard, answer with its result. A payload it
+  // cannot run ends the child, which the parent reports as failed.
+  const mc::UnitWork work = [&](std::size_t, const std::string& payload,
+                                const std::function<bool()>& stop) {
+    Assignment asg;
+    std::string why;
+    const harness::Benchmark* b =
+        parse_assignment(payload, &asg, &why) ? arm(asg, resolve, &why)
+                                              : nullptr;
+    if (b == nullptr) _exit(1);
+    harness::RunOptions base;
+    base.engine = asg.engine;
+    base.checker = asg.checker;
+    base.engine.progress_interval_seconds = opts.progress_interval_seconds;
+    return harness::run_shard_unit(*b, base, asg.unit, stop);
+  };
+
   WorkerState ws;
+  // Forked before the first dial, the child holds no socket.
+  (void)ws.child.start(work);
   for (;;) {  // one iteration per (re)connection
     ws.fd = dial_until(a, opts.connect_timeout_seconds);
     if (ws.fd < 0) return 1;
@@ -325,15 +292,14 @@ int run_worker(const std::string& addr, const WorkerOptions& opts) {
 
     bool reconnect = false;
     while (!reconnect) {
-      if (wait_readable(ws.fd, 1.0) < 0) {
+      // A timeout just loops: an idle worker has nothing to say.
+      const int ready = wait_readable(ws.fd, 1.0);
+      if (ready < 0) {
         reconnect = true;
         break;
       }
+      if (ready == 0) continue;
       char tmp[4096];
-      // Only read when data is actually buffered; wait_readable timing out
-      // just loops (an idle worker has nothing to say).
-      pollfd probe{ws.fd, POLLIN, 0};
-      if (poll(&probe, 1, 0) <= 0) continue;
       long got = support::read_some(ws.fd, tmp, sizeof tmp);
       if (got <= 0) {
         reconnect = true;
@@ -405,7 +371,7 @@ int run_worker(const std::string& addr, const WorkerOptions& opts) {
               }
               break;
             }
-            switch (run_assignment(ws, opts, resolve, asg)) {
+            switch (run_assignment(ws, opts, resolve, work, asg, payload)) {
               case Outcome::kDone:
                 break;
               case Outcome::kQuit:
@@ -431,15 +397,5 @@ int run_worker(const std::string& addr, const WorkerOptions& opts) {
     // transient drop) — if it is not, the dial deadline ends the worker.
   }
 }
-
-#else  // !CDS_DIST_WORKER_POSIX
-
-int run_worker(const std::string&, const WorkerOptions&) {
-  std::fprintf(stderr,
-               "cds::dist::worker: unsupported on this platform (no fork)\n");
-  return 1;
-}
-
-#endif
 
 }  // namespace cds::dist

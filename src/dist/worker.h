@@ -1,23 +1,26 @@
 // Distributed worker: connects to a coordinator, receives shard
-// assignments, and runs each one in a forked child so a crashing test
-// body (or a SIGKILL chaos injection) never takes the protocol loop down
-// with it.
+// assignments, and runs them in one long-lived shard child (mc::UnitChild,
+// the unit child fork_map's workers run in too), so a crashing test body
+// (or a SIGKILL chaos injection) never takes the protocol loop down with
+// it. The child is forked before the first dial.
 //
 // Per assignment the parent:
-//   - forks a child that runs harness::run_shard_unit with a stop-request
-//     hook wired to a pipe (one byte = preempt for work stealing) and
-//     streams the serialized result back over a second pipe;
+//   - answers `failed` if this build cannot run it (benchmark, test
+//     index, injection site), and otherwise hands it to the child, which
+//     arms the injection and runs harness::run_shard_unit;
 //   - heartbeats the coordinator at the interval the welcome line named,
 //     renewing the shard's lease while the child computes;
-//   - forwards coordinator `steal` lines to the child's stop pipe, and
-//     answers `quit` by killing the child and exiting;
-//   - reports a dead child (crash, signal) as an explicit `failed` line so
-//     the coordinator retries immediately instead of waiting out the lease.
+//   - turns the coordinator's `steal` line into a store to the child's
+//     stop word, and answers `quit` by killing the child and exiting;
+//   - reports a dead child with its wait status as an explicit `failed`
+//     line, so the coordinator retries at once instead of waiting out the
+//     lease, and forks a new child for the next assignment.
 //
-// If the coordinator connection drops mid-run the worker kills its child
-// and re-dials (fresh hello) until the connect timeout elapses: the old
-// assignment's lease expires coordinator-side and is retried, possibly on
-// this same reconnected worker.
+// If the coordinator connection drops mid-run the worker kills the child
+// computing the lost assignment and re-dials (fresh hello) until the
+// connect timeout elapses: the old assignment's lease expires
+// coordinator-side and is retried, possibly on this same reconnected
+// worker. The child dies with the worker.
 #ifndef CDS_DIST_WORKER_H
 #define CDS_DIST_WORKER_H
 

@@ -1,21 +1,14 @@
 #include "harness/runner.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <array>
 #include <chrono>
-#include <cstring>
 
+#include "mc/shard.h"
 #include "support/record.h"
 #include "support/rng.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CDS_HARNESS_HAS_FORK 1
-#include <poll.h>
-#include <signal.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 namespace cds::harness {
 
@@ -178,114 +171,59 @@ InjectionOutcome run_trial_inline(const Benchmark& b, const RunOptions& opts,
   return out;
 }
 
-#ifdef CDS_HARNESS_HAS_FORK
+// What a forked trial reports back to the sweep.
+std::array<support::Field, 3> trial_fields(InjectionOutcome& o) {
+  return {{
+      {"how", support::enum_ref<4>(&o.how)},
+      {"verdict", support::enum_ref<3>(&o.verdict)},
+      {"seconds", &o.seconds},
+  }};
+}
 
-// Fixed-size result message written by the trial child over its pipe.
-struct TrialWire {
-  std::uint8_t detection;
-  std::uint8_t verdict;
-  double seconds;
-};
-
-// Runs one trial in a forked child with a wall-clock timeout. The child
-// performs the injection and the whole benchmark run in its own address
-// space, so aborts, corruption, and hangs stay contained.
+// Runs one trial in a fresh unit child (mc/shard.h) with a wall-clock
+// timeout. The child performs the injection and the whole benchmark run
+// in its own address space, so aborts, corruption, and hangs stay
+// contained.
 InjectionOutcome run_trial_forked(const Benchmark& b, const RunOptions& opts,
                                   const inject::Site& site, double timeout_s) {
   InjectionOutcome out;
   out.site = site;
-
-  int fds[2];
-  if (pipe(fds) != 0) return run_trial_inline(b, opts, site);
-  pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return run_trial_inline(b, opts, site);
-  }
-  if (pid == 0) {
-    // Child: run the trial and report over the pipe. _exit skips atexit
-    // handlers (gtest, benchmark registries) that belong to the parent.
-    close(fds[0]);
-    inject::inject(site.id);
-    RunResult r = run_benchmark(b, opts);
-    TrialWire w{static_cast<std::uint8_t>(classify(r)),
-                static_cast<std::uint8_t>(r.verdict), r.mc.seconds};
-    ssize_t rc = write(fds[1], &w, sizeof w);
-    (void)rc;
-    close(fds[1]);
-    _exit(0);
-  }
-
-  close(fds[1]);
-  auto t0 = std::chrono::steady_clock::now();
-  auto remaining_ms = [&]() -> int {
-    if (timeout_s <= 0.0) return -1;  // poll: negative = wait forever
-    double left =
-        timeout_s -
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (left <= 0.0) return 0;
-    double ms = left * 1000.0 + 1.0;
-    return ms > 2147483000.0 ? 2147483000 : static_cast<int>(ms);
+  mc::UnitChild child;
+  const mc::UnitWork work = [&](std::size_t, const std::string&,
+                                const std::function<bool()>&) {
+    InjectionOutcome o = run_trial_inline(b, opts, site);
+    return support::render_fields(trial_fields(o));
   };
-
-  TrialWire w{};
-  std::size_t got = 0;
-  bool timed_out = false;
-  char* dst = reinterpret_cast<char*>(&w);
-  while (got < sizeof w) {
-    pollfd pfd{fds[0], POLLIN, 0};
-    int pr = poll(&pfd, 1, remaining_ms());
-    if (pr == 0) {
-      timed_out = true;
-      break;
-    }
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    ssize_t n = read(fds[0], dst + got, sizeof w - got);
-    if (n <= 0) break;  // EOF before a full message: the child died
-    got += static_cast<std::size_t>(n);
-  }
-  close(fds[0]);
-
-  if (timed_out) {
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-    out.status = TrialStatus::kTimedOut;
+  if (!child.start(work)) return run_trial_inline(b, opts, site);
+  const auto t0 = std::chrono::steady_clock::now();
+  child.assign(0, std::string());
+  std::uint64_t idx = 0;
+  std::string text, err;
+  const mc::UnitChild::Read r = child.await(timeout_s, &idx, &text);
+  if (r == mc::UnitChild::Read::kPending) {
+    out.status = TrialStatus::kTimedOut;  // ~UnitChild kills the trial
     out.seconds = timeout_s;
     return out;
   }
-
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got == sizeof w) {
-    out.status = TrialStatus::kCompleted;
-    out.how = static_cast<Detection>(w.detection);
-    out.verdict = static_cast<mc::Verdict>(w.verdict);
-    out.seconds = w.seconds;
-  } else {
-    out.status = TrialStatus::kCrashed;
-    out.term_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-    out.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+  if (r == mc::UnitChild::Read::kResult &&
+      support::parse_fields(text, trial_fields(out), &err)) {
+    return out;
   }
+  child.finish(/*kill=*/true);  // reaped already if it died
+  out.status = TrialStatus::kCrashed;
+  out.term_signal =
+      WIFSIGNALED(child.status()) ? WTERMSIG(child.status()) : 0;
+  out.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   return out;
 }
 
-#endif  // CDS_HARNESS_HAS_FORK
-
 InjectionOutcome run_trial(const Benchmark& b, const RunOptions& opts,
                            const inject::Site& site, const SweepOptions& sweep) {
-#ifdef CDS_HARNESS_HAS_FORK
   if (sweep.fork_isolation) {
     return run_trial_forked(b, opts, site, sweep.trial_timeout_seconds);
   }
-#endif
   return run_trial_inline(b, opts, site);
 }
 

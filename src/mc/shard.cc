@@ -8,19 +8,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 
 #include "support/io.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CDS_MC_SHARD_HAS_FORK 1
 #include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace cds::mc {
 
@@ -115,40 +114,42 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
 }
 
 // ---------------------------------------------------------------------------
-// fork_map
+// The unit child and the steal rule
 // ---------------------------------------------------------------------------
+
+std::size_t StealRule::pick(bool idle, const std::vector<RunningUnit>& running,
+                            double now, double* wake) {
+  const std::size_t none = running.size();
+  if (asked_) {
+    if (std::any_of(running.begin(), running.end(),
+                    [&](const RunningUnit& u) { return u.id == *asked_; })) {
+      return none;
+    }
+    asked_.reset();
+  }
+  if (!idle) return none;
+  std::size_t victim = none;
+  for (std::size_t i = 0; i < running.size(); ++i) {
+    if (running[i].splittable &&
+        (victim == none || running[i].started < running[victim].started)) {
+      victim = i;
+    }
+  }
+  if (victim == none) return none;
+  const double due = running[victim].started + kStealAfterSeconds;
+  if (now < due) {
+    *wake = std::min(*wake, due);
+    return none;
+  }
+  asked_ = running[victim].id;
+  return victim;
+}
 
 namespace {
 
-// A sequential pool with a preemption predicate (a journaled one-job run)
-// asks each preemptible unit to stop once it has run this long, so the
-// caller journals its partial result and queues its remainder. Each stop
-// costs one journal record per minted unit, so the interval is wall time,
-// not an execution count.
-constexpr double kInlineStopAfterSeconds = 1.0;
-
-#ifdef CDS_MC_SHARD_HAS_FORK
-
-// Steal only from a unit that has run this long: a younger one may be
-// about to finish, and splitting it would trade one result for many.
-constexpr double kStealAfterSeconds = 0.002;
-
-// One preempt word per worker, a cache line apart, in a MAP_SHARED
-// mapping the workers inherit: the parent stores `unit + 1` to ask that
-// unit to stop, and the worker compares it with its own unit between
-// executions.
-constexpr std::size_t kStopWordStride = 64;
-
-std::atomic<std::uint64_t>* stop_word(void* words, std::size_t w) {
-  return reinterpret_cast<std::atomic<std::uint64_t>*>(
-      static_cast<char*>(words) + w * kStopWordStride);
-}
-
-// Worker loop: read "u <idx> <len>\n<len payload bytes>" assignments off
-// `in`, answer each with an "r <idx> <len>\n<len result bytes>" frame on
-// `out`; "q\n" (or EOF, or any malformed input) ends the process. Never
-// returns.
-[[noreturn]] void worker_loop(int in, int out, const UnitWork& work,
+// The child's loop: serve "u" frames off `in` until EOF or a malformed
+// frame. Never returns.
+[[noreturn]] void serve_units(int in, int out, const UnitWork& work,
                               std::ptrdiff_t sigkill_on_unit,
                               const std::atomic<std::uint64_t>* word) {
   std::string line, payload;
@@ -161,7 +162,6 @@ std::atomic<std::uint64_t>* stop_word(void* words, std::size_t w) {
       if (c == '\n') break;
       line.push_back(c);
     }
-    if (line == "q") _exit(0);
     unsigned long long idx = 0, len = 0;
     char extra = 0;
     if (std::sscanf(line.c_str(), "u %llu %llu%c", &idx, &len, &extra) != 2) {
@@ -185,7 +185,132 @@ std::atomic<std::uint64_t>* stop_word(void* words, std::size_t w) {
   }
 }
 
-#endif  // CDS_MC_SHARD_HAS_FORK
+}  // namespace
+
+bool UnitChild::start(const UnitWork& work, const std::vector<int>& inherited,
+                      std::ptrdiff_t sigkill_on_unit) {
+  finish(/*kill=*/true);
+  void* map = mmap(nullptr, sizeof(*word_), PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) return false;
+  auto* word = new (map) std::atomic<std::uint64_t>(0);
+  int wfd[2] = {-1, -1}, rfd[2] = {-1, -1};
+  const pid_t parent = getpid();
+  const pid_t pid = pipe(wfd) != 0 || pipe(rfd) != 0 ? -1 : fork();
+  if (pid < 0) {
+    for (int fd : {wfd[0], wfd[1], rfd[0], rfd[1]}) {
+      if (fd >= 0) close(fd);
+    }
+    munmap(map, sizeof(*word_));
+    return false;
+  }
+  if (pid == 0) {
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) _exit(1);  // the parent died before prctl
+    close(wfd[1]);
+    close(rfd[0]);
+    for (int fd : inherited) {
+      if (fd >= 0) close(fd);
+    }
+    serve_units(wfd[0], rfd[1], work, sigkill_on_unit, word);
+  }
+  close(wfd[0]);
+  close(rfd[1]);
+  pid_ = pid;
+  work_fd_ = wfd[1];
+  result_fd_ = rfd[0];
+  word_ = word;
+  buf_.clear();
+  return true;
+}
+
+void UnitChild::assign(std::uint64_t idx, const std::string& payload) {
+  support::SigpipeIgnoreScope sigpipe_guard;
+  (void)(support::write_full(work_fd_, "u " + std::to_string(idx) + " " +
+                                           std::to_string(payload.size()) +
+                                           "\n") &&
+         support::write_full(work_fd_, payload));
+}
+
+void UnitChild::stop(std::uint64_t idx) {
+  word_->store(idx + 1, std::memory_order_relaxed);
+}
+
+UnitChild::Read UnitChild::read(std::uint64_t* idx, std::string* text) {
+  char tmp[65536];
+  const long got = support::read_some(result_fd_, tmp, sizeof tmp);
+  if (got > 0) {
+    buf_.append(tmp, static_cast<std::size_t>(got));
+    const std::size_t nl = buf_.find('\n');
+    if (nl == std::string::npos) return Read::kPending;
+    unsigned long long i = 0, len = 0;
+    char extra = 0;
+    if (std::sscanf(buf_.substr(0, nl).c_str(), "r %llu %llu%c", &i, &len,
+                    &extra) == 2) {
+      if (buf_.size() < nl + 1 + len) return Read::kPending;
+      *idx = i;
+      *text = buf_.substr(nl + 1, len);
+      buf_.erase(0, nl + 1 + len);
+      return Read::kResult;
+    }
+  }
+  // EOF (the child exited or died) or a corrupt frame.
+  finish(/*kill=*/true);
+  return Read::kDied;
+}
+
+UnitChild::Read UnitChild::await(double timeout_seconds, std::uint64_t* idx,
+                                 std::string* text) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (;;) {
+    int ms = -1;
+    if (timeout_seconds > 0.0) {
+      const double left =
+          timeout_seconds - std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+      if (left <= 0.0) return Read::kPending;
+      ms = static_cast<int>(std::min(left * 1000.0 + 1.0, 2147483000.0));
+    }
+    pollfd p{result_fd_, POLLIN, 0};
+    const int pr = poll(&p, 1, ms);
+    if (pr < 0 && errno != EINTR) {
+      finish(/*kill=*/true);
+      return Read::kDied;
+    }
+    if (pr <= 0) continue;
+    const Read r = read(idx, text);
+    if (r != Read::kPending) return r;
+  }
+}
+
+void UnitChild::finish(bool kill) {
+  if (pid_ > 0) {
+    if (kill) ::kill(pid_, SIGKILL);
+    close(work_fd_);  // EOF ends a child that is waiting for a unit
+    close(result_fd_);
+    while (waitpid(pid_, &status_, 0) < 0 && errno == EINTR) {
+    }
+    munmap(word_, sizeof(*word_));
+  }
+  pid_ = -1;
+  work_fd_ = -1;
+  result_fd_ = -1;
+  word_ = nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// fork_map
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A sequential pool with a preemption predicate (a journaled one-job run)
+// asks each preemptible unit to stop once it has run this long, so the
+// caller journals its partial result and queues its remainder. Each stop
+// costs one journal record per minted unit, so the interval is wall time,
+// not an execution count.
+constexpr double kInlineStopAfterSeconds = 1.0;
 
 }  // namespace
 
@@ -246,10 +371,6 @@ std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
     out.resize(units.size());
   };
 
-#ifndef CDS_MC_SHARD_HAS_FORK
-  run_inline();
-  return out;
-#else
   // A stealing pool forks even for one unit: the idle workers split it.
   const bool steal = static_cast<bool>(opts.preemptible);
   if (opts.jobs <= 1 || units.size() <= (steal ? 0u : 1u)) {
@@ -258,69 +379,19 @@ std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
   }
 
   struct Worker {
-    pid_t pid = -1;
-    int work_fd = -1;    // parent writes assignments
-    int result_fd = -1;  // parent reads result frames
+    UnitChild child;
     std::ptrdiff_t assigned = -1;
-    std::string buf;
-    bool alive = false;
   };
   // A stealing pool keeps every worker: units appear as running ones split.
   const std::size_t want =
       steal ? static_cast<std::size_t>(opts.jobs)
             : std::min(static_cast<std::size_t>(opts.jobs), units.size());
-  const std::size_t words_bytes = want * kStopWordStride;
-  void* words = mmap(nullptr, words_bytes, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (words == MAP_FAILED) {
-    run_inline();
-    return out;
-  }
-  for (std::size_t w = 0; w < want; ++w) {
-    new (stop_word(words, w)) std::atomic<std::uint64_t>(0);
-  }
-
-  std::vector<Worker> ws;
-  for (std::size_t w = 0; w < want; ++w) {
-    int wfd[2], rfd[2];
-    if (pipe(wfd) != 0) break;
-    if (pipe(rfd) != 0) {
-      close(wfd[0]);
-      close(wfd[1]);
-      break;
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-      close(wfd[0]);
-      close(wfd[1]);
-      close(rfd[0]);
-      close(rfd[1]);
-      break;
-    }
-    if (pid == 0) {
-      close(wfd[1]);
-      close(rfd[0]);
-      for (const Worker& o : ws) {  // siblings' ends are not ours to hold
-        close(o.work_fd);
-        close(o.result_fd);
-      }
-      worker_loop(wfd[0], rfd[1], work, opts.sigkill_on_unit,
-                  stop_word(words, w));
-    }
-    close(wfd[0]);
-    close(rfd[1]);
-    Worker wk;
-    wk.pid = pid;
-    wk.work_fd = wfd[1];
-    wk.result_fd = rfd[0];
-    wk.alive = true;
-    ws.push_back(wk);
-  }
-
-  if (ws.empty()) {
-    munmap(words, words_bytes);
-    run_inline();
-    return out;
+  std::vector<Worker> ws(want);
+  std::vector<int> siblings;  // pipe ends a new child must not hold
+  for (Worker& w : ws) {
+    if (!w.child.start(work, siblings, opts.sigkill_on_unit)) break;
+    siblings.push_back(w.child.work_fd());
+    siblings.push_back(w.child.result_fd());
   }
 
   auto assign = [&](Worker& w) {
@@ -330,83 +401,58 @@ std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
     w.assigned = static_cast<std::ptrdiff_t>(u);
     out[u].assigned_seconds = elapsed();
     out[u].worker = static_cast<int>(&w - ws.data());
-    std::string& payload = units.payload(u);
-    // If a write fails the worker is dying; its EOF below records the
-    // unit as crashed.
-    (void)(support::write_full(w.work_fd,
-                               "u " + std::to_string(u) + " " +
-                                   std::to_string(payload.size()) + "\n") &&
-           support::write_full(w.work_fd, payload));
-    std::string().swap(payload);
+    w.child.assign(u, units.payload(u));
+    std::string().swap(units.payload(u));
   };
-
-  // The unit with an outstanding stop request, if any. It is cleared when
-  // that unit reaches its final state, and a unit is handed out only
-  // once, so no unit is ever asked twice.
-  std::ptrdiff_t asked = -1;
   auto settle = [&](Worker& w, bool ran) {
     const auto idx = static_cast<std::size_t>(w.assigned);
     out[idx].ran = ran;
     out[idx].done_seconds = elapsed();
-    if (asked == w.assigned) asked = -1;
     w.assigned = -1;
     finish(idx);
   };
 
+  StealRule rule;
+  std::vector<RunningUnit> running;
   std::vector<pollfd> pfds;
   std::vector<std::size_t> order;
   for (;;) {
     // Hand queued units (on_result may have appended some) to idle
     // workers; stop once nothing is queued or running.
-    std::size_t alive = 0, busy = 0;
+    std::size_t alive = 0;
+    running.clear();
     for (Worker& w : ws) {
-      if (!w.alive) continue;
+      if (!w.child.running()) continue;
       ++alive;
       if (w.assigned < 0) assign(w);
-      if (w.assigned >= 0) ++busy;
+      if (w.assigned < 0) continue;
+      const auto u = static_cast<std::size_t>(w.assigned);
+      running.push_back(RunningUnit{u, out[u].assigned_seconds,
+                                    steal && opts.preemptible(u)});
     }
-    if (busy == 0) break;
+    if (running.empty()) break;
 
-    // Work stealing: a worker is idle, so the queue is dry. Ask the
-    // longest-running preemptible unit to stop; its result comes back
-    // through on_result like any other, and whatever the caller appends
-    // from it feeds the idle workers.
-    int timeout_ms = -1;
-    if (steal && asked < 0 && busy < alive) {
-      const Worker* victim = nullptr;
-      for (const Worker& w : ws) {
-        if (!w.alive || w.assigned < 0 ||
-            !opts.preemptible(static_cast<std::size_t>(w.assigned))) {
-          continue;
-        }
-        if (victim == nullptr ||
-            out[static_cast<std::size_t>(w.assigned)].assigned_seconds <
-                out[static_cast<std::size_t>(victim->assigned)]
-                    .assigned_seconds) {
-          victim = &w;
-        }
-      }
-      if (victim != nullptr) {
-        const double age =
-            elapsed() -
-            out[static_cast<std::size_t>(victim->assigned)].assigned_seconds;
-        if (age >= kStealAfterSeconds) {
-          asked = victim->assigned;
-          stop_word(words, static_cast<std::size_t>(victim - ws.data()))
-              ->store(static_cast<std::uint64_t>(asked) + 1,
-                      std::memory_order_relaxed);
-        } else {
-          timeout_ms =
-              1 + static_cast<int>((kStealAfterSeconds - age) * 1000.0);
-        }
-      }
+    // Work stealing: a worker is idle, so the queue is dry. The asked
+    // unit's result comes back through on_result like any other, and
+    // whatever the caller appends from it feeds the idle workers.
+    const double now = elapsed();
+    double wake = std::numeric_limits<double>::infinity();
+    const std::size_t victim =
+        rule.pick(running.size() < alive, running, now, &wake);
+    if (victim < running.size()) {
+      const std::uint64_t u = running[victim].id;
+      ws[static_cast<std::size_t>(out[u].worker)].child.stop(u);
     }
+    const int timeout_ms =
+        wake == std::numeric_limits<double>::infinity()
+            ? -1
+            : 1 + static_cast<int>((wake - now) * 1000.0);
 
     pfds.clear();
     order.clear();
     for (std::size_t wi = 0; wi < ws.size(); ++wi) {
-      if (!ws[wi].alive) continue;
-      pfds.push_back(pollfd{ws[wi].result_fd, POLLIN, 0});
+      if (!ws[wi].child.running()) continue;
+      pfds.push_back(pollfd{ws[wi].child.result_fd(), POLLIN, 0});
       order.push_back(wi);
     }
     int pr = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
@@ -417,54 +463,35 @@ std::vector<UnitResult> fork_map(UnitQueue& units, const UnitWork& work,
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       Worker& w = ws[order[k]];
-      char tmp[65536];
-      long got = support::read_some(w.result_fd, tmp, sizeof tmp);
-      if (got > 0) {
-        w.buf.append(tmp, static_cast<std::size_t>(got));
-        std::size_t nl = w.buf.find('\n');
-        if (nl != std::string::npos) {
-          unsigned long long idx = 0, len = 0;
-          if (std::sscanf(w.buf.c_str(), "r %llu %llu", &idx, &len) != 2 ||
-              static_cast<std::ptrdiff_t>(idx) != w.assigned) {
-            // Protocol corruption: drop the worker, crash its unit below.
-            got = 0;
-          } else if (w.buf.size() >= nl + 1 + len) {
-            out[idx].text = w.buf.substr(nl + 1, len);
-            w.buf.erase(0, nl + 1 + len);
+      std::uint64_t idx = 0;
+      std::string text;
+      switch (w.child.read(&idx, &text)) {
+        case UnitChild::Read::kPending:
+          break;
+        case UnitChild::Read::kResult:
+          if (static_cast<std::ptrdiff_t>(idx) == w.assigned) {
+            out[idx].text = std::move(text);
             settle(w, true);
+            break;
           }
-        }
-      }
-      if (got <= 0) {
-        // EOF (worker exited or died) or corruption. An in-flight
-        // assignment becomes a crashed unit — recorded, never retried, so
-        // the merged outcome is deterministic.
-        w.alive = false;
-        close(w.work_fd);
-        w.work_fd = -1;
-        close(w.result_fd);
-        w.result_fd = -1;
-        if (w.assigned >= 0) settle(w, false);
-        kill(w.pid, SIGKILL);  // no-op if it exited cleanly
+          // Protocol corruption: drop the worker, crash its unit.
+          w.child.finish(/*kill=*/true);
+          [[fallthrough]];
+        case UnitChild::Read::kDied:
+          // An in-flight assignment becomes a crashed unit — recorded,
+          // never retried, so the merged outcome is deterministic.
+          if (w.assigned >= 0) settle(w, false);
+          break;
       }
     }
   }
 
-  for (Worker& w : ws) {
-    if (w.work_fd >= 0) {
-      (void)support::write_full(w.work_fd, "q\n");
-      close(w.work_fd);
-    }
-    if (w.result_fd >= 0) close(w.result_fd);
-    int status = 0;
-    waitpid(w.pid, &status, 0);
-  }
-  munmap(words, words_bytes);
+  for (Worker& w : ws) w.child.finish();
 
-  // Units never assigned (every worker died) still get computed.
+  // Units never assigned (every worker died, or none started) still get
+  // computed.
   run_inline();
   return out;
-#endif
 }
 
 }  // namespace cds::mc

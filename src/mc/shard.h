@@ -1,7 +1,8 @@
 // Parallel sharding substrate: splits a DFS exploration into disjoint
-// subtrees by enumerating trail prefixes, and fans work units out to forked
-// worker processes over a pipe-based protocol, splitting a running unit's
-// remaining frontier when a worker would otherwise sit idle.
+// subtrees by enumerating trail prefixes, runs units of work in forked
+// unit children, and fans units out to a pool of them, splitting a
+// running unit's remaining frontier when a worker would otherwise sit
+// idle.
 //
 // Because every execution is a deterministic function of its choice
 // sequence (mc/trail.h), the subtrees rooted at the children of any choice
@@ -15,9 +16,11 @@
 #ifndef CDS_MC_SHARD_H
 #define CDS_MC_SHARD_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +73,102 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
                      const std::vector<Choice>& b);
 
 // ---------------------------------------------------------------------------
+// The unit child and the steal rule
+// ---------------------------------------------------------------------------
+
+// Work of one unit inside a unit child: `payload` is the bytes the unit
+// was handed with, and `stop()` turns true once the parent asks this unit
+// to stop early (work stealing). Polling `stop` reads one word of shared
+// memory; it makes no syscall.
+using UnitWork = std::function<std::string(
+    std::size_t i, const std::string& payload,
+    const std::function<bool()>& stop)>;
+
+// One forked process that runs units of work one at a time: every forked
+// unit of work runs in one (fork_map's workers, a socket worker's shard
+// child, each `--sweep` trial), so a crash in the work kills only it.
+// The parent writes "u <idx> <len>\n<payload>" frames down one pipe and
+// the child answers each with "r <idx> <len>\n<text>" on another; EOF or
+// a malformed frame ends it. stop(idx) stores idx + 1 in a
+// MAP_SHARED word that the child compares with its own unit between
+// executions, so a request naming a finished unit never reaches the
+// next. The child first closes the descriptors it must not hold
+// (siblings' pipe ends, a socket), and it dies with its parent
+// (PR_SET_PDEATHSIG): an orphaned unit never computes a result nobody
+// reads.
+class UnitChild {
+ public:
+  UnitChild() = default;
+  UnitChild(const UnitChild&) = delete;
+  UnitChild& operator=(const UnitChild&) = delete;
+  ~UnitChild() { finish(/*kill=*/true); }
+
+  // Forks the child, which closes `inherited` and serves units with
+  // `work`, raising SIGKILL instead of running unit `sigkill_on_unit` (a
+  // crash-containment test hook). False when pipe, mmap or fork fails.
+  bool start(const UnitWork& work, const std::vector<int>& inherited = {},
+             std::ptrdiff_t sigkill_on_unit = -1);
+  [[nodiscard]] bool running() const { return pid_ > 0; }
+  // The parent's pipe ends; result_fd() turns readable when a result
+  // arrives or the child dies.
+  [[nodiscard]] int work_fd() const { return work_fd_; }
+  [[nodiscard]] int result_fd() const { return result_fd_; }
+
+  // A failed write means the child is dying; read() reports its death.
+  void assign(std::uint64_t idx, const std::string& payload);
+  void stop(std::uint64_t idx);
+
+  enum class Read { kPending, kResult, kDied };
+  // Consumes what result_fd() holds. kResult: *idx and *text hold a
+  // finished unit. kDied: EOF or a corrupt frame; the child is killed and
+  // reaped, and status() holds its wait status.
+  Read read(std::uint64_t* idx, std::string* text);
+  // read() until it has news or `timeout_seconds` pass (0 = no limit);
+  // kPending means the time ran out.
+  Read await(double timeout_seconds, std::uint64_t* idx, std::string* text);
+  // Closes a running child's work pipe, which ends it once its unit is
+  // done, or with `kill` kills it; then reaps it.
+  void finish(bool kill = false);
+  [[nodiscard]] int status() const { return status_; }
+
+ private:
+  int pid_ = -1;
+  int work_fd_ = -1;
+  int result_fd_ = -1;
+  std::atomic<std::uint64_t>* word_ = nullptr;  // in a MAP_SHARED page
+  std::string buf_;
+  int status_ = 0;
+};
+
+// A unit on a worker, as the steal rule sees it.
+struct RunningUnit {
+  std::uint64_t id = 0;  // the scheduler's name for it
+  double started = 0.0;  // when it was handed out, in seconds
+  bool splittable = false;
+};
+
+// A younger unit may be about to finish, and splitting it would trade one
+// result for many.
+inline constexpr double kStealAfterSeconds = 0.002;
+
+// The steal rule of fork_map and the socket coordinator: when a worker is
+// idle and nothing is queued, ask the oldest running splittable unit to
+// stop once it has run kStealAfterSeconds, with one request outstanding
+// (until its unit stops running) and each unit asked at most once.
+class StealRule {
+ public:
+  // `idle`: a worker is idle and nothing is queued. Returns the position
+  // in `running` of the unit to ask now, or running.size(); while the
+  // oldest splittable unit is too young, lowers *wake to its coming of
+  // age (the clock of `now` and `started`).
+  std::size_t pick(bool idle, const std::vector<RunningUnit>& running,
+                   double now, double* wake);
+
+ private:
+  std::optional<std::uint64_t> asked_;
+};
+
+// ---------------------------------------------------------------------------
 // fork_map: run work units across forked workers
 // ---------------------------------------------------------------------------
 
@@ -86,14 +185,6 @@ struct UnitResult {
   double done_seconds = 0.0;
   int worker = -1;
 };
-
-// Work of one unit inside a worker: `payload` is the bytes the unit was
-// queued with, and `stop()` turns true once the parent asks this unit to
-// stop early (work stealing). Polling `stop` reads one word of shared
-// memory; it makes no syscall.
-using UnitWork = std::function<std::string(
-    std::size_t i, const std::string& payload,
-    const std::function<bool()>& stop)>;
 
 // The units of one fork_map call. Units may be appended while it runs —
 // from ForkMapOptions::on_result — and each carries its payload to
@@ -128,23 +219,19 @@ struct ForkMapOptions {
   // out (the returned vector then holds it empty), and may append units to
   // the queue.
   std::function<void(std::size_t, UnitResult&)> on_result;
-  // Work stealing: when a worker is idle and no unit is queued, the parent
-  // asks the running unit assigned longest ago for which this returns true
-  // to stop (its `stop()` turns true), once it has run 2 ms. Each unit is
-  // asked at most once, and one request is outstanding at a time. The
-  // request names the unit, so a worker that already moved on never sees
-  // it. A sequential pool (jobs <= 1) instead asks each unit for which
-  // this returns true to stop once it has run about a second, so a caller
-  // that journals results saves the progress of long units. Null = never.
+  // Work stealing: the units for which this returns true are splittable
+  // under StealRule (their `stop()` turns true when asked). A sequential
+  // pool (jobs <= 1) instead asks each unit for which this returns true
+  // to stop once it has run about a second, so a caller that journals
+  // results saves the progress of long units. Null = never.
   std::function<bool(std::size_t)> preemptible;
 };
 
 // Runs `work(i)` for every i in [0, n) and returns results indexed by
-// unit. With jobs > 1 on POSIX, forks `jobs` workers and feeds them units
-// dynamically over pipes (results stream back length-prefixed); a worker
-// death marks its in-flight unit crashed and the remaining workers carry
-// on. Falls back to sequential in-process execution when jobs <= 1, fork
-// is unavailable, or worker setup fails. `work` must be safe to run in a
+// unit. With jobs > 1 on POSIX, starts `jobs` unit children and feeds
+// them units dynamically; a worker death marks its in-flight unit crashed
+// and the remaining workers carry on. Falls back to sequential in-process
+// execution when jobs <= 1, fork is unavailable, or worker setup fails. `work` must be safe to run in a
 // forked child (no reliance on threads, which fork does not carry over).
 std::vector<UnitResult> fork_map(
     std::size_t n, const std::function<std::string(std::size_t)>& work,

@@ -53,7 +53,6 @@ TEST(DistSlow, KillAndStealKeepsCountersBitIdentical) {
   d.dist_workers = 4;
   d.max_shards = 1;   // one big shard: everything else must come from
   d.shard_depth = 1;  // stealing its frontier
-  d.steal_after_seconds = 0.05;
   d.lease_seconds = 5.0;  // leases are not the mechanism under test here
   d.worker_chaos.kill_on_assignment = 1;  // first worker dies immediately
   dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);

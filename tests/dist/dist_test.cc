@@ -6,9 +6,16 @@
 // cost of retries and lease expirations only, never coverage.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
 #include <cstdint>
+#include <new>
+#include <set>
 #include <string>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "dist/chaos.h"
 #include "dist/coordinator.h"
@@ -17,6 +24,7 @@
 #include "harness/runner.h"
 #include "inject/inject.h"
 #include "mc/atomic.h"
+#include "support/record.h"
 
 namespace cds {
 namespace {
@@ -321,6 +329,103 @@ TEST(DistHarness, MutedHeartbeatsExpireTheLeaseAndDropTheStaleResult) {
   EXPECT_GE(r.stale_results, 1u);
   EXPECT_EQ(r.failed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
+}
+
+// The processes a test body ran in, in MAP_SHARED memory that forked
+// workers and their shard children inherit.
+class PidLog {
+ public:
+  PidLog()
+      : slots_(static_cast<std::atomic<int>*>(
+            mmap(nullptr, sizeof(std::atomic<int>) * kSlots,
+                 PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0))) {
+    for (std::size_t i = 0; i < kSlots; ++i) new (&slots_[i]) std::atomic<int>(0);
+  }
+  ~PidLog() { munmap(slots_, sizeof(std::atomic<int>) * kSlots); }
+  void note(int pid) {
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      int cur = 0;
+      if (slots_[i].compare_exchange_strong(cur, pid) || cur == pid) return;
+    }
+  }
+  [[nodiscard]] std::set<int> pids() const {
+    std::set<int> out;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      if (slots_[i].load() != 0) out.insert(slots_[i].load());
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 256;
+  std::atomic<int>* slots_;
+};
+
+TEST(DistHarness, EachWorkerRunsItsShardsInOneChild) {
+  // A socket worker keeps one long-lived shard child: however many
+  // assignments it takes, its shards run in one process.
+  fuzz::Program p;
+  std::vector<std::uint64_t> obs;
+  harness::Benchmark b =
+      make_litmus_benchmark("mp_relacq_wide", kMpRelacqWide, &p, &obs);
+  PidLog log;
+  const mc::TestFn inner = b.tests[0];
+  b.tests[0] = [inner, &log](mc::Exec& x) {
+    log.note(static_cast<int>(getpid()));
+    inner(x);
+  };
+  harness::RunOptions opts;
+  dist::DistOptions d;
+  d.dist_workers = 2;
+  dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
+  EXPECT_GE(r.shards, 6u);
+  EXPECT_EQ(r.retries, 0u);
+  EXPECT_FALSE(r.fell_back_local);
+  EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
+  std::set<int> shard_pids = log.pids();
+  shard_pids.erase(static_cast<int>(getpid()));  // the coordinator's probes
+  EXPECT_GE(shard_pids.size(), 1u);
+  EXPECT_LE(shard_pids.size(), 2u);
+}
+
+TEST(DistHarness, CrashingShardChildFailsOnlyItsUnitTest) {
+  // Unit test 0 SIGKILLs every shard child it runs in (the coordinator
+  // probes it in this process, which it spares); unit test 1 is clean.
+  // Test 0's shard fails after its retries, test 1 merges as in a serial
+  // run, and each worker survives its children's deaths.
+  fuzz::Program p, q;
+  std::vector<std::uint64_t> obs, obs_clean;
+  harness::Benchmark clean =
+      make_litmus_benchmark("casloop_wide", kCasloopWide, &q, &obs_clean);
+  harness::Benchmark b =
+      make_litmus_benchmark("crash-then-clean", kMpRelacqWide, &p, &obs);
+  const mc::TestFn inner = b.tests[0];
+  const pid_t self = getpid();
+  b.tests[0] = [inner, self](mc::Exec& x) {
+    if (getpid() != self) raise(SIGKILL);
+    inner(x);
+  };
+  b.tests.push_back(clean.tests[0]);
+  harness::RunOptions opts;
+  const harness::RunResult serial = harness::run_benchmark(clean, opts);
+  dist::DistOptions d;
+  d.dist_workers = 2;
+  d.max_shards = 1;  // one planned shard per unit test
+  d.max_shard_retries = 2;
+  dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
+  EXPECT_EQ(r.failed_shards, 1u);
+  EXPECT_EQ(r.retries, 2u);
+  EXPECT_EQ(r.connections_total, 2u) << "a worker died with its child";
+  EXPECT_FALSE(r.fell_back_local);
+  EXPECT_EQ(r.merged.verdict, mc::Verdict::kInconclusive);
+  mc::ExplorationStats got = r.merged.mc;
+  mc::ExplorationStats want = serial.mc;
+  got.seconds = want.seconds = 0.0;
+  got.exhausted = want.exhausted;
+  got.verdict = want.verdict;
+  EXPECT_EQ(support::render_record(got), support::render_record(want));
+  EXPECT_EQ(support::render_record(r.merged.spec),
+            support::render_record(serial.spec));
 }
 
 TEST(DistHarness, FallsBackToLocalForkPoolWhenNoWorkerConnects) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -464,6 +465,63 @@ TEST(ForkMap, StopRequestsNameTheUnitTheyTarget) {
   EXPECT_EQ(out[1].text, "late-1 ran");
   EXPECT_EQ(out[2].text, "late-2 ran");
   EXPECT_NE(out[1].worker, out[2].worker);
+}
+
+// A unit child dies with its parent (PR_SET_PDEATHSIG): when the process
+// that forked it is SIGKILLed mid-unit, the child goes too instead of
+// computing a result nobody reads.
+TEST(UnitChild, ExitsWhenItsParentIsKilled) {
+  int held[2];  // in the end only the unit child holds the write end
+  ASSERT_EQ(pipe(held), 0);
+  const pid_t parent = fork();
+  ASSERT_GE(parent, 0);
+  if (parent == 0) {
+    close(held[0]);
+    mc::UnitChild child;
+    const mc::UnitWork work = [&](std::size_t, const std::string&,
+                                  const std::function<bool()>&) {
+      (void)!write(held[1], "u", 1);  // the unit runs
+      // Outlives the wait below unless the parent's death ends it.
+      const auto t0 = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - t0 < std::chrono::seconds(20)) {
+        usleep(1000);
+      }
+      return std::string();
+    };
+    if (!child.start(work)) _exit(1);
+    close(held[1]);
+    child.assign(0, std::string());
+    for (;;) pause();
+  }
+  close(held[1]);
+  char c = 0;
+  ASSERT_EQ(read(held[0], &c, 1), 1) << "the unit never started";
+  kill(parent, SIGKILL);
+  int status = 0;
+  waitpid(parent, &status, 0);
+  pollfd p{held[0], POLLIN, 0};
+  ASSERT_EQ(poll(&p, 1, 5000), 1) << "the unit child outlived its parent";
+  EXPECT_EQ(read(held[0], &c, 1), 0);  // EOF: the child is gone
+  close(held[0]);
+}
+
+// The one steal rule: the oldest splittable unit, once it has run
+// kStealAfterSeconds, one request at a time, and only while a worker
+// idles with nothing queued.
+TEST(StealRule, AsksTheOldestAgedSplittableUnitOneAtATime) {
+  mc::StealRule rule;
+  const double age = mc::kStealAfterSeconds;
+  std::vector<mc::RunningUnit> running = {
+      {7, 1.0, true}, {3, 0.5, false}, {9, 0.8, true}};
+  double wake = 100.0;
+  EXPECT_EQ(rule.pick(false, running, 10.0, &wake), running.size());
+  EXPECT_EQ(rule.pick(true, running, 0.8 + age / 2, &wake), running.size());
+  EXPECT_DOUBLE_EQ(wake, 0.8 + age);
+  EXPECT_EQ(rule.pick(true, running, 10.0, &wake), 2u);
+  // Unit 9 has a request outstanding: nobody else is asked meanwhile.
+  EXPECT_EQ(rule.pick(true, running, 10.0, &wake), running.size());
+  running.pop_back();  // unit 9 reached its final state
+  EXPECT_EQ(rule.pick(true, running, 10.0, &wake), 0u);
 }
 
 TEST(ParallelStealSlow, KilledWithAPreemptedResultResumesBitIdentical) {

@@ -85,6 +85,7 @@ void usage() {
       "                   [--lease-secs S] [--max-shard-retries N]\n"
       "       cdsspec-run --replay-trail FILE\n"
       "       cdsspec-run --worker ADDR [--progress[=SECS]]\n"
+      "                   [--connect-timeout S]\n"
       "addresses: 'host:port' (TCP) or 'unix:PATH' (Unix-domain socket)\n"
       "durability: --checkpoint FILE names a write-ahead shard journal;\n"
       "            --resume with the same flags replays it after a crash\n"
