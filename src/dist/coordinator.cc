@@ -81,7 +81,6 @@ struct Coordinator {
   // ids a surviving worker still holds from the crashed incarnation.
   std::uint64_t epoch = 0;
   mc::StealRule steal{};
-  std::vector<mc::RunningUnit> running{};  // scratch for the steal rule
 
   double backoff_for(const Slot& s, std::uint64_t attempt_id) const {
     double base = d.retry_backoff_seconds;
@@ -355,7 +354,7 @@ struct Coordinator {
     for (const Conn& c : conns) {
       if (!c.dead && c.greeted && c.attempt == 0) idle = true;
     }
-    running.clear();
+    std::vector<mc::RunningUnit> running;
     for (const auto& [id, at] : live) {
       running.push_back(mc::RunningUnit{
           id, slots[at.shard].assigned_at,
