@@ -82,8 +82,10 @@ struct Coordinator {
   std::uint64_t epoch = 0;
   mc::StealRule steal{};
 
+  // The retry backoff: 50 ms doubled per attempt, plus deterministic
+  // jitter derived from the engine seed and attempt id.
   double backoff_for(const Slot& s, std::uint64_t attempt_id) const {
-    double base = d.retry_backoff_seconds;
+    double base = 0.05;
     for (int i = 1; i < s.attempts; ++i) base *= 2.0;
     support::Xorshift64 rng(support::derive_seed(
         opts.engine.seed, attempt_id ^ static_cast<std::uint64_t>(s.attempts)));
@@ -455,7 +457,9 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       };
     }
     for (int w = 0; w < d.dist_workers; ++w) {
-      pid_t pid = fork();
+      // A worker dies with its coordinator: after a crash it must not
+      // re-dial an address no resumed run listens on.
+      const pid_t pid = mc::fork_tied_to_parent();
       if (pid < 0) {
         std::fprintf(stderr, "cds::dist: fork of worker %d failed: %s\n", w,
                      std::strerror(errno));

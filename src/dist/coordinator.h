@@ -63,9 +63,6 @@ struct DistOptions {
   // Fall back to the local fork pool when no worker has connected this
   // long after startup, or when all workers are gone this long.
   double connect_deadline_seconds = 5.0;
-  // Base for the exponential retry backoff (doubled per attempt, plus
-  // deterministic jitter derived from the engine seed and attempt id).
-  double retry_backoff_seconds = 0.05;
   bool enable_steal = true;
   // Shard planning, mirroring ParallelOptions.
   int shard_depth = 2;

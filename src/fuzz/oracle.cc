@@ -1,11 +1,12 @@
 #include "fuzz/oracle.h"
 
+#include <array>
 #include <charconv>
-#include <cstdlib>
 #include <sstream>
 
 #include "harness/stress_backend.h"
 #include "mc/shard.h"
+#include "support/record.h"
 
 namespace cds::fuzz {
 
@@ -231,6 +232,17 @@ bool is_subset(const BehaviorSet& a, const BehaviorSet& b) {
   return true;
 }
 
+// What one DFS shard of mc_behaviors reports besides its behaviors, and
+// how the shards fold.
+std::array<support::Field, 4> shard_fields(McBehaviors& m) {
+  return {{
+      {"exhausted", &m.exhausted, support::Merge::kAnd},
+      {"executions", &m.executions, support::Merge::kSum},
+      {"rf_classes", &m.rf_classes, support::Merge::kSum},
+      {"rf_infeasible", &m.rf_infeasible, support::Merge::kSum},
+  }};
+}
+
 }  // namespace
 
 const char* to_string(OracleKind k) {
@@ -265,13 +277,11 @@ McBehaviors mc_behaviors(const Program& p, const OracleConfig& cfg,
       BehaviorCollector collector(&obs, p.locations, &shard_set);
       engine.set_listener(&collector);
       auto stats = engine.explore(make_test(&obs));
-      std::ostringstream os;
-      os << "exhausted " << (stats.exhausted ? 1 : 0) << "\n"
-         << "executions " << stats.executions << "\n"
-         << "rf_classes " << stats.rf_classes << "\n"
-         << "rf_infeasible " << stats.rf_infeasible << "\n";
-      for (const std::string& b : shard_set) os << b << "\n";
-      return os.str();
+      McBehaviors shard{{}, stats.exhausted, stats.executions,
+                        stats.rf_classes, stats.rf_infeasible};
+      std::string text = support::render_fields(shard_fields(shard)) + "\n";
+      for (const std::string& b : shard_set) text += b + "\n";
+      return text;
     };
     mc::ForkMapOptions fopts;
     fopts.jobs = cfg.jobs;
@@ -285,26 +295,13 @@ McBehaviors mc_behaviors(const Program& p, const OracleConfig& cfg,
       }
       std::istringstream is(r.text);
       std::string line;
-      bool header_ok = false;
-      if (std::getline(is, line) && line.rfind("exhausted ", 0) == 0) {
-        if (line.substr(10) != "1") out.exhausted = false;
-        if (std::getline(is, line) && line.rfind("executions ", 0) == 0) {
-          out.executions += std::strtoull(line.c_str() + 11, nullptr, 10);
-          if (std::getline(is, line) && line.rfind("rf_classes ", 0) == 0) {
-            out.rf_classes += std::strtoull(line.c_str() + 11, nullptr, 10);
-            if (std::getline(is, line) &&
-                line.rfind("rf_infeasible ", 0) == 0) {
-              out.rf_infeasible +=
-                  std::strtoull(line.c_str() + 14, nullptr, 10);
-              header_ok = true;
-            }
-          }
-        }
-      }
-      if (!header_ok) {
+      McBehaviors shard;
+      if (!std::getline(is, line) ||
+          !support::parse_fields(line, shard_fields(shard), nullptr)) {
         out.exhausted = false;
         continue;
       }
+      support::merge_fields(shard_fields(out), shard_fields(shard));
       while (std::getline(is, line)) {
         if (!line.empty()) out.behaviors.insert(line);
       }

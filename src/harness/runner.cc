@@ -154,9 +154,9 @@ const char* to_string(TrialStatus s) {
 
 namespace {
 
-// Runs one injection trial inside this process (no isolation). Used when
-// fork is unavailable or disabled; a crash or hang here takes the whole
-// campaign with it.
+// Runs one injection trial inside this process: the forked trial's body,
+// and the fallback when the fork fails (a crash or hang there takes the
+// whole campaign with it).
 InjectionOutcome run_trial_inline(const Benchmark& b, const RunOptions& opts,
                                   const inject::Site& site) {
   InjectionOutcome out;
@@ -219,14 +219,6 @@ InjectionOutcome run_trial_forked(const Benchmark& b, const RunOptions& opts,
   return out;
 }
 
-InjectionOutcome run_trial(const Benchmark& b, const RunOptions& opts,
-                           const inject::Site& site, const SweepOptions& sweep) {
-  if (sweep.fork_isolation) {
-    return run_trial_forked(b, opts, site, sweep.trial_timeout_seconds);
-  }
-  return run_trial_inline(b, opts, site);
-}
-
 }  // namespace
 
 InjectionSummary run_injection_experiment(const Benchmark& b,
@@ -240,13 +232,12 @@ InjectionSummary run_injection_experiment(const Benchmark& b,
     trial_opts.engine.seed =
         support::derive_seed(sweep.seed, static_cast<std::uint64_t>(site.id));
 
-    InjectionOutcome out = run_trial(b, trial_opts, site, sweep);
-    // One retry ladder on timeout: tighten the execution cap and hand the
-    // engine a self-enforced time budget so the retry degrades to
-    // sampling (inconclusive) instead of hanging a second time.
-    for (int attempt = 0;
-         out.status == TrialStatus::kTimedOut && attempt < sweep.timeout_retries;
-         ++attempt) {
+    InjectionOutcome out =
+        run_trial_forked(b, trial_opts, site, sweep.trial_timeout_seconds);
+    // One retry on timeout: tighten the execution cap and hand the engine
+    // a self-enforced time budget so the retry degrades to sampling
+    // (inconclusive) instead of hanging a second time.
+    if (out.status == TrialStatus::kTimedOut) {
       RunOptions tighter = trial_opts;
       tighter.engine.max_executions =
           trial_opts.engine.max_executions == 0
@@ -255,7 +246,7 @@ InjectionSummary run_injection_experiment(const Benchmark& b,
       if (sweep.trial_timeout_seconds > 0.0) {
         tighter.engine.time_budget_seconds = sweep.trial_timeout_seconds * 0.5;
       }
-      out = run_trial(b, tighter, site, sweep);
+      out = run_trial_forked(b, tighter, site, sweep.trial_timeout_seconds);
       out.retried = true;
     }
 

@@ -127,16 +127,12 @@ struct InjectionOutcome {
 // Fail-safe controls for the injection campaign. Defaults keep every
 // trial fork-isolated so one crashing or hanging trial cannot take the
 // sweep down with it.
+// Each trial runs in a forked child; a trial that times out is retried
+// once at a tighter execution cap and an engine-level time budget, so the
+// retry degrades instead of hanging.
 struct SweepOptions {
-  // Run each trial in a forked child (POSIX only; ignored elsewhere).
-  // Without isolation a crash or hang hits the whole campaign.
-  bool fork_isolation = true;
-  // Wall-clock cap per trial (0 = none). Only enforced under fork
-  // isolation; inline trials should use RunOptions::engine budgets.
+  // Wall-clock cap per trial (0 = none).
   double trial_timeout_seconds = 120.0;
-  // After a timeout, retry this many times at a tighter execution cap and
-  // an engine-level time budget (so the retry degrades instead of hanging).
-  int timeout_retries = 1;
   // Root seed; per-trial engine seeds are derived from it and the site id.
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 };

@@ -187,6 +187,16 @@ namespace {
 
 }  // namespace
 
+int fork_tied_to_parent() {
+  const pid_t parent = getpid();
+  const pid_t pid = fork();
+  if (pid == 0) {
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) _exit(1);  // the parent died before prctl
+  }
+  return pid;
+}
+
 bool UnitChild::start(const UnitWork& work, const std::vector<int>& inherited,
                       std::ptrdiff_t sigkill_on_unit) {
   finish(/*kill=*/true);
@@ -195,8 +205,8 @@ bool UnitChild::start(const UnitWork& work, const std::vector<int>& inherited,
   if (map == MAP_FAILED) return false;
   auto* word = new (map) std::atomic<std::uint64_t>(0);
   int wfd[2] = {-1, -1}, rfd[2] = {-1, -1};
-  const pid_t parent = getpid();
-  const pid_t pid = pipe(wfd) != 0 || pipe(rfd) != 0 ? -1 : fork();
+  const pid_t pid =
+      pipe(wfd) != 0 || pipe(rfd) != 0 ? -1 : fork_tied_to_parent();
   if (pid < 0) {
     for (int fd : {wfd[0], wfd[1], rfd[0], rfd[1]}) {
       if (fd >= 0) close(fd);
@@ -205,8 +215,6 @@ bool UnitChild::start(const UnitWork& work, const std::vector<int>& inherited,
     return false;
   }
   if (pid == 0) {
-    prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (getppid() != parent) _exit(1);  // the parent died before prctl
     close(wfd[1]);
     close(rfd[0]);
     for (int fd : inherited) {

@@ -84,6 +84,11 @@ using UnitWork = std::function<std::string(
     std::size_t i, const std::string& payload,
     const std::function<bool()>& stop)>;
 
+// fork(2) for a child that must not outlive this process: the child gets
+// SIGKILL when its parent dies (PR_SET_PDEATHSIG), and exits at once if
+// the parent died before that was armed. Returns what fork returns.
+int fork_tied_to_parent();
+
 // One forked process that runs units of work one at a time: every forked
 // unit of work runs in one (fork_map's workers, a socket worker's shard
 // child, each `--sweep` trial), so a crash in the work kills only it.

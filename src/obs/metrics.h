@@ -20,12 +20,16 @@
 #ifndef CDS_OBS_METRICS_H
 #define CDS_OBS_METRICS_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "support/record.h"
 
 namespace cds::obs {
 
@@ -231,7 +235,13 @@ class Registry {
   // locals before anything is committed, so an adversarial line cannot
   // leave a half-written histogram or timer behind.
   bool parse_wire_line(const std::string& line, std::string* err) {
-    std::vector<std::string> tok = split_ws(line);
+    std::vector<std::string_view> tok;
+    for (std::string_view rest = line; !rest.empty();) {
+      const std::size_t sp = std::min(rest.find(' '), rest.size());
+      if (sp > 0) tok.push_back(rest.substr(0, sp));
+      rest.remove_prefix(std::min(sp + 1, rest.size()));
+    }
+    using support::parse_u64;
     auto fail = [&](const char* why, std::size_t token_index) {
       if (err) {
         *err = std::string(why) + " at token " + std::to_string(token_index) +
@@ -242,14 +252,15 @@ class Registry {
     if (tok.size() < 3) return fail("short metric line", tok.size());
     std::uint64_t v0 = 0;
     if (!parse_u64(tok[2], &v0)) return fail("bad metric value", 2);
+    const std::string name(tok[1]);
     if (tok[0] == "c" && tok.size() == 3) {
-      counters_[tok[1]].value = v0;
+      counters_[name].value = v0;
     } else if (tok[0] == "g" && tok.size() == 3) {
-      gauges_[tok[1]].value = v0;
+      gauges_[name].value = v0;
     } else if (tok[0] == "t" && tok.size() == 4) {
       std::uint64_t cnt = 0;
       if (!parse_u64(tok[3], &cnt)) return fail("bad timer count", 3);
-      Timer& t = timers_[tok[1]];
+      Timer& t = timers_[name];
       t.total_ns = v0;
       t.count = cnt;
     } else if (tok[0] == "h") {
@@ -261,7 +272,7 @@ class Registry {
       for (std::size_t i = 3; i < tok.size(); ++i) {
         if (!parse_u64(tok[i], &h.buckets[i - 3])) return fail("bad bucket", i);
       }
-      histograms_[tok[1]] = h;
+      histograms_[name] = h;
     } else {
       return fail("unknown metric kind", 0);
     }
@@ -280,29 +291,6 @@ class Registry {
     *out += k;
     *out += "\": ";
   }
-  static std::vector<std::string> split_ws(const std::string& s) {
-    std::vector<std::string> tok;
-    std::size_t i = 0;
-    while (i < s.size()) {
-      while (i < s.size() && s[i] == ' ') ++i;
-      std::size_t j = i;
-      while (j < s.size() && s[j] != ' ') ++j;
-      if (j > i) tok.push_back(s.substr(i, j - i));
-      i = j;
-    }
-    return tok;
-  }
-  static bool parse_u64(const std::string& s, std::uint64_t* out) {
-    if (s.empty()) return false;
-    std::uint64_t v = 0;
-    for (char ch : s) {
-      if (ch < '0' || ch > '9') return false;
-      v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-    }
-    *out = v;
-    return true;
-  }
-
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Timer> timers_;

@@ -5,30 +5,10 @@
 
 #include "mc/memory_order.h"
 #include "mc/trace.h"
+#include "support/record.h"
 
 namespace cds::obs {
 namespace {
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 // pid 0 = the modeled execution (one tid per modeled thread);
 // pid 1 = the exploration phases (wall clock).
@@ -43,7 +23,7 @@ void append_meta(std::string* out, int pid, int tid, const char* what,
                 "\"args\":{\"name\":",
                 pid, tid, what);
   *out += buf;
-  append_json_string(out, name);
+  *out += '"' + support::json_escape(name) + '"';
   *out += "}},\n";
 }
 
@@ -102,7 +82,7 @@ std::string render_chrome_trace(
                   i);
     out += buf;
     out += "\"name\":";
-    append_json_string(&out, event_label(ev, loc_name));
+    out += '"' + support::json_escape(event_label(ev, loc_name)) + '"';
     std::snprintf(buf, sizeof buf,
                   ",\"args\":{\"order\":\"%s\",\"value\":%" PRIu64 "}},\n",
                   mc::to_string(ev.order), ev.value);
@@ -116,7 +96,7 @@ std::string render_chrome_trace(
                   "\"dur\":%.0f,\"cat\":\"explore\",\"name\":",
                   p.start_seconds * 1e6, p.duration_seconds * 1e6);
     out += buf;
-    append_json_string(&out, p.name);
+    out += '"' + support::json_escape(p.name) + '"';
     out += "},\n";
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -22,7 +23,8 @@ Overloaded(F...) -> Overloaded<F...>;
 constexpr std::string_view kEscaped = "\\ \t\r\n";
 constexpr std::string_view kLetters = "\\strn";
 
-// Reads `text` as field f's type, and stores it only when `store` is set.
+}  // namespace
+
 bool read_value(std::string_view text, const Field& f, bool store) {
   return std::visit(
       Overloaded{
@@ -63,8 +65,6 @@ bool read_value(std::string_view text, const Field& f, bool store) {
       f.ref);
 }
 
-}  // namespace
-
 std::string escape(std::string_view s) {
   std::string out;
   for (char c : s) {
@@ -91,6 +91,24 @@ bool unescape(std::string_view s, std::string* out) {
     *out += c;
   }
   return true;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += {'\\', c};
+    } else if (c == '\n' || c == '\t') {
+      out += c == '\n' ? "\\n" : "\\t";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 bool parse_u64(std::string_view s, std::uint64_t* out) {

@@ -62,11 +62,14 @@ struct Field {
   const char* key;
   std::variant<std::uint64_t*, std::uint32_t*, int*, bool*, double*,
                std::string*, EnumRef>
-      ref;
+      ref = {};
   Merge merge = Merge::kNone;
 };
 
 std::string render_fields(std::span<const Field> fields);
+// Reads `text` as field f's type (the rules above), and stores it only
+// when `store` is set. False when the text does not read back.
+bool read_value(std::string_view text, const Field& f, bool store);
 bool parse_fields(std::string_view text, std::span<const Field> fields,
                   std::string* err);
 // Folds `from` into `into` field by field, by each field's Merge rule;
@@ -101,6 +104,10 @@ std::pair<std::string, std::string> difference(std::string_view a,
 // rejects a '\' that starts no escape.
 std::string escape(std::string_view s);
 bool unescape(std::string_view s, std::string* out);
+
+// The body of a JSON string holding `s`: quote, backslash and every
+// control character escaped.
+std::string json_escape(std::string_view s);
 
 // The strict number parsers behind the codec, shared by every wire and
 // command line: the whole text must be the number. parse_u64 takes

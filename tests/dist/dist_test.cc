@@ -9,12 +9,15 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <new>
 #include <set>
 #include <string>
 #include <vector>
 
+#include <poll.h>
 #include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "dist/chaos.h"
@@ -443,6 +446,41 @@ TEST(DistHarness, FallsBackToLocalForkPoolWhenNoWorkerConnects) {
   EXPECT_EQ(r.connections_total, 0u);
   expect_dist_equals_serial(serial, r.merged);
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
+}
+
+TEST(DistHarness, LocalWorkersDieWithAKilledCoordinator) {
+  // A SIGKILLed coordinator's forked workers must not outlive it,
+  // re-dialing an address no resumed run will listen on. Every process
+  // of the run inherits the write end of this pipe, so its read end sees
+  // EOF once all of them are gone.
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("ticket-lock");
+  ASSERT_NE(b, nullptr);
+  const std::string path = testing::TempDir() + "orphans.journal";
+  std::remove(path.c_str());
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t coordinator = fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    close(fds[0]);
+    harness::RunOptions opts;
+    dist::DistOptions d;
+    d.dist_workers = 2;
+    d.journal_path = path;
+    d.coord_chaos.kill_before_merge_on = 1;
+    (void)dist::run_benchmark_distributed(*b, opts, d);
+    _exit(3);  // the chaos hook did not fire
+  }
+  close(fds[1]);
+  int status = 0;
+  ASSERT_EQ(waitpid(coordinator, &status, 0), coordinator);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+  pollfd eof{fds[0], POLLIN, 0};
+  EXPECT_EQ(poll(&eof, 1, 1000), 1)
+      << "the coordinator's workers outlived it by a second";
+  close(fds[0]);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/generator.h"
@@ -80,6 +81,27 @@ TEST(FuzzProgram, ParseRejectsMalformed) {
   EXPECT_FALSE(
       Program::parse("litmus v1\nlocations 2\nt0 load x release\n", &p, &err))
       << "release-form load must not parse as valid";
+}
+
+TEST(FuzzProgram, ParseRejectsBadNumbersNamingTheLine) {
+  // Each once replayed as a valid program: atoi and strtoull read "2x" as
+  // 2, "-1" as 2^64 - 1 and "0x" as 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"litmus v1\nlocations 2x\nt0 store x 1 relaxed\n", "(line 2)"},
+      {"litmus v1\nlocations 2\nt0 store x 5x relaxed\n", "(line 3)"},
+      {"litmus v1\nlocations 2\nt0 store y -1 release\n", "(line 3)"},
+      {"litmus v1\nlocations 2\nt0 rmw x +1 relaxed\n", "(line 3)"},
+      {"litmus v1\nlocations 2\nt0 cas y 0x 3 acq_rel relaxed\n", "(line 3)"},
+      {"litmus v1\nlocations 2\nt0 cas y 0 18446744073709551616 acq_rel "
+       "relaxed\n",
+       "(line 3)"},
+  };
+  for (const auto& [text, line] : cases) {
+    Program p;
+    std::string err;
+    EXPECT_FALSE(Program::parse(text, &p, &err)) << text;
+    EXPECT_NE(err.find(line), std::string::npos) << text << ": " << err;
+  }
 }
 
 TEST(FuzzProgram, ValidateRejectsIllegalOrders) {

@@ -114,7 +114,6 @@ TEST(Harness, SweepSurvivesCrashingAndHangingTrials) {
   harness::RunOptions opts;
   harness::SweepOptions sweep;
   sweep.trial_timeout_seconds = 1.0;
-  sweep.timeout_retries = 1;
   auto sum = harness::run_injection_experiment(hostile, opts, sweep);
 
   // The campaign survives every hostile trial: the raw kill and the hang

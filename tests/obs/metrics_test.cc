@@ -177,5 +177,21 @@ TEST(ObsMetrics, WireParserRejectsMalformedLines) {
   EXPECT_FALSE(r.parse_wire_line(too_many, &err));
 }
 
+TEST(ObsMetrics, WireParserRejectsNumbersPastU64) {
+  Registry r;
+  std::string err;
+  // Values past 2^64 - 1 are rejected, not wrapped (once read as 1 and
+  // 7766279631452241919).
+  EXPECT_FALSE(r.parse_wire_line("c x 18446744073709551617", &err));
+  EXPECT_FALSE(r.parse_wire_line("t y 99999999999999999999 1", &err));
+  EXPECT_FALSE(r.parse_wire_line("t y 1 18446744073709551616", &err));
+  EXPECT_FALSE(r.parse_wire_line("h z 1 0 18446744073709551616", &err));
+  EXPECT_FALSE(r.parse_wire_line("g w +5", &err));
+  EXPECT_TRUE(r.counters().empty() && r.timers().empty() &&
+              r.histograms().empty() && r.gauges().empty());
+  ASSERT_TRUE(r.parse_wire_line("c x 18446744073709551615", &err)) << err;
+  EXPECT_EQ(r.counter_value("x"), 18446744073709551615u);
+}
+
 }  // namespace
 }  // namespace cds::obs

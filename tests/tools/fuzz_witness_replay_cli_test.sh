@@ -34,4 +34,16 @@ for mode in schedule rf; do
   done
   test $n -gt 0 || fail "$mode campaign wrote no witness trail"
 done
+# --json escapes what it prints: repro paths in a directory whose name
+# holds a tab must still read back as JSON.
+tabdir=$(printf 'o\tut')
+mkdir "$tabdir"
+"$fuzz" --trials 40 --seed 1 --unsound-hook sleep-wake --out "$tabdir" \
+  --json > tab.json
+test $? -eq 1 || fail "--json campaign found no disagreement"
+python3 - tab.json << 'EOF' || fail "--json output is not JSON"
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["disagreements"] and "\t" in d["disagreements"][0]["repro"], d
+EOF
 echo "ok"

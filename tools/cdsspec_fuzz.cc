@@ -1,41 +1,28 @@
 // cdsspec-fuzz — differential-oracle self-validation of the exploration
 // engine (the correctness-tooling layer: the checker checking itself).
-//
-//   cdsspec-fuzz --trials N [--seed S] [--timeout SECS] [--out DIR] [--json]
-//                [--jobs N] [--metrics-out FILE] [--explore schedule|rf]
-//   cdsspec-fuzz --replay FILE...        re-check repro/corpus programs
-//   cdsspec-fuzz --replay-dir DIR        re-check every *.litmus in DIR
-//
-// Cross-backend / external adjudication (both compose with either mode):
-//   --cross-backend [--stress-iters N]   also run each program on the
-//       stress backend (real threads, seeded preemption) and require its
-//       observed behaviors to be a subset of the DFS set; a stress-only
-//       behavior is a disagreement and writes a .litmus + stress .trail
-//       pair to --out.
-//   --herd-out DIR   export each checked program as a herd7 C-litmus test
-//       plus a .expected file holding our exhaustive behavior set, for
-//       tools/herd_adjudicate to compare against herd7's verdict. DIR must
-//       be an existing writable directory (else exit 2 before any trial);
-//       a failed export makes the run exit 2.
+// `cdsspec-fuzz` alone prints usage, rendered from the flag table in
+// main().
 //
 // Each trial generates a seeded random litmus program and cross-checks the
 // engine's behavior set three ways (see src/fuzz/oracle.h): brute-force
 // interleavings on the seq_cst fragment, metamorphic memory-order
 // monotonicity, and DFS-vs-sampling containment. Any disagreement is
-// auto-minimized and written to --out as a self-contained .litmus repro.
+// auto-minimized and written as a self-contained .litmus repro, with a
+// .trail beside it pinning one witness execution; replay mode re-checks
+// such files or a corpus. Either mode can also require the stress
+// backend's observed behaviors to lie inside the DFS set (a stress-only
+// behavior writes a .litmus + stress .trail pair), and export each program
+// with its exhaustive behavior set for tools/herd_adjudicate. An unsound
+// hook arms a deliberately broken engine variant, which the run must then
+// catch: the self-validation tests use it to prove the oracles have teeth.
 //
-// Exit codes: 0 all oracles agreed, 1 disagreement found (repro written),
+// Exit codes: 0 all oracles agreed, 1 disagreement found,
 //             2 usage or I/O error (unreadable input, failed export).
-//
-// --unsound-hook {sc-floor|sleep-wake} arms a deliberately broken engine
-// variant (test-only): the run must then FIND disagreements; used by the
-// self-validation tests to prove the oracles have teeth.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +39,7 @@
 #include "fuzz/program.h"
 #include "mc/trace.h"
 #include "obs/metrics.h"
+#include "support/flags.h"
 #include "support/record.h"
 #include "support/rng.h"
 
@@ -61,37 +49,33 @@ constexpr int kExitAgreed = 0;
 constexpr int kExitDisagreed = 1;
 constexpr int kExitUsage = 2;
 
-void usage() {
-  std::printf(
-      "usage: cdsspec-fuzz --trials N [--seed S] [--timeout SECS]\n"
-      "                    [--out DIR] [--json] [--unsound-hook NAME]\n"
-      "                    [--jobs N] [--metrics-out FILE]\n"
-      "                    [--explore schedule|rf]\n"
-      "                    [--cross-backend] [--stress-iters N]\n"
-      "                    [--herd-out DIR]\n"
-      "       cdsspec-fuzz --replay FILE... / --replay-dir DIR\n"
-      "                    [--cross-backend] [--stress-iters N]\n"
-      "                    [--herd-out DIR]\n"
-      "unsound hooks (self-validation only): sc-floor, sleep-wake\n"
-      "exit codes: 0 all oracles agreed, 1 disagreement found, 2 usage\n");
-}
-
-using cds::support::parse_double;
+using cds::support::Flag;
+using cds::support::json_escape;
 using cds::support::parse_u64;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
+void usage(std::span<const Flag> flags) {
+  std::printf(
+      "usage: cdsspec-fuzz [flags]\n"
+      "flags:\n%s"
+      "exit codes: 0 all oracles agreed, 1 disagreement found, 2 usage\n",
+      cds::support::flag_usage(flags).c_str());
+}
+
+// --replay-dir: appends every *.litmus file in `dir`.
+bool litmus_files(const std::string& dir, std::vector<std::string>* list,
+                  std::string* err) {
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) {
+    *err = "cannot open dir '" + dir + "'";
+    return false;
   }
-  return out;
+  while (dirent* ent = readdir(d)) {
+    const std::string n = ent->d_name;
+    if (n.size() > 7 && n.ends_with(".litmus")) list->push_back(dir + "/" + n);
+  }
+  closedir(d);
+  if (list->empty()) *err = "no .litmus files in '" + dir + "'";
+  return !list->empty();
 }
 
 // Trial profiles alternate: even trials draw from the seq_cst-only pool
@@ -99,15 +83,9 @@ std::string json_escape(const std::string& s) {
 // (monotonicity + sampling oracles).
 cds::fuzz::GenParams profile_for(std::uint64_t trial) {
   cds::fuzz::GenParams gp;
-  if (trial % 2 == 0) {
-    gp.sc_only = true;
-    gp.max_threads = 3;
-    gp.max_total_ops = 8;
-  } else {
-    gp.sc_only = false;
-    gp.max_threads = 3;
-    gp.max_total_ops = 8;
-  }
+  gp.sc_only = trial % 2 == 0;
+  gp.max_threads = 3;
+  gp.max_total_ops = 8;
   return gp;
 }
 
@@ -203,10 +181,8 @@ struct ExtraChecks {
 std::string stem_of(const std::string& path) {
   std::size_t slash = path.find_last_of('/');
   std::string n = slash == std::string::npos ? path : path.substr(slash + 1);
-  if (n.size() > 7 && n.substr(n.size() - 7) == ".litmus") {
-    n = n.substr(0, n.size() - 7);
-  }
-  return n;
+  return n.size() > 7 && n.ends_with(".litmus") ? n.substr(0, n.size() - 7)
+                                                 : n;
 }
 
 // Exports `p` for herd7 adjudication. Skips (with a note) when the DFS hit
@@ -445,113 +421,44 @@ int main(int argc, char** argv) {
   std::uint64_t base_seed = 1;
   double timeout = 0.0;
   bool json = false;
-  std::string out_dir = ".";
   std::string metrics_out;
   cds::fuzz::OracleConfig cfg;
   ExtraChecks ex;
   std::vector<std::string> replay;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "cdsspec-fuzz: %s requires a value\n", flag);
-        usage();
-        std::exit(kExitUsage);
-      }
-      return argv[++i];
-    };
-    if (a == "--trials") {
-      if (!parse_u64(value("--trials"), &trials)) return kExitUsage;
-    } else if (a == "--seed") {
-      if (!parse_u64(value("--seed"), &base_seed)) return kExitUsage;
-    } else if (a == "--timeout") {
-      if (!parse_double(value("--timeout"), &timeout)) return kExitUsage;
-    } else if (a == "--jobs") {
-      std::uint64_t j = 0;
-      if (!parse_u64(value("--jobs"), &j) || j == 0 || j > 256) {
-        std::fprintf(stderr, "cdsspec-fuzz: --jobs must be in 1..256\n");
-        return kExitUsage;
-      }
-      cfg.jobs = static_cast<int>(j);
-    } else if (a == "--out") {
-      out_dir = value("--out");
-    } else if (a == "--metrics-out") {
-      metrics_out = value("--metrics-out");
-    } else if (a == "--json") {
-      json = true;
-    } else if (a == "--cross-backend") {
-      ex.cross_backend = true;
-    } else if (a == "--stress-iters") {
-      if (!parse_u64(value("--stress-iters"), &ex.stress_iters) ||
-          ex.stress_iters == 0) {
-        std::fprintf(stderr,
-                     "cdsspec-fuzz: --stress-iters must be positive\n");
-        return kExitUsage;
-      }
-    } else if (a == "--herd-out") {
-      ex.herd_out = value("--herd-out");
-    } else if (a == "--explore") {
-      // Runs every oracle with the engine in the given exploration mode;
-      // `rf` makes the whole differential campaign exercise the rf-class
-      // enumerator against the brute-force / monotonicity / sampling
-      // oracles (the CI equality job runs both modes on the same seeds).
-      std::string mode = value("--explore");
-      if (mode == "schedule") {
-        cfg.explore = cds::mc::ExploreMode::kSchedule;
-      } else if (mode == "rf") {
-        cfg.explore = cds::mc::ExploreMode::kRf;
-      } else {
-        std::fprintf(stderr,
-                     "cdsspec-fuzz: --explore must be 'schedule' or 'rf', "
-                     "not '%s'\n",
-                     mode.c_str());
-        return kExitUsage;
-      }
-    } else if (a == "--unsound-hook") {
-      std::string h = value("--unsound-hook");
-      if (h == "sc-floor") {
-        cfg.unsound_hook = cds::mc::UnsoundHook::kScLoadIgnoresFloor;
-      } else if (h == "sleep-wake") {
-        cfg.unsound_hook = cds::mc::UnsoundHook::kSleepSetNeverWakes;
-      } else {
-        std::fprintf(stderr, "cdsspec-fuzz: unknown hook '%s'\n", h.c_str());
-        return kExitUsage;
-      }
-    } else if (a == "--replay") {
-      while (i + 1 < argc && argv[i + 1][0] != '-') replay.push_back(argv[++i]);
-      if (replay.empty()) {
-        std::fprintf(stderr, "cdsspec-fuzz: --replay wants files\n");
-        return kExitUsage;
-      }
-    } else if (a == "--replay-dir") {
-      std::string dir = value("--replay-dir");
-      DIR* d = opendir(dir.c_str());
-      if (d == nullptr) {
-        std::fprintf(stderr, "cdsspec-fuzz: cannot open dir '%s'\n",
-                     dir.c_str());
-        return kExitUsage;
-      }
-      while (dirent* ent = readdir(d)) {
-        std::string n = ent->d_name;
-        if (n.size() > 7 && n.substr(n.size() - 7) == ".litmus") {
-          replay.push_back(dir + "/" + n);
-        }
-      }
-      closedir(d);
-      if (replay.empty()) {
-        std::fprintf(stderr, "cdsspec-fuzz: no .litmus files in '%s'\n",
-                     dir.c_str());
-        return kExitUsage;
-      }
-    } else {
-      std::fprintf(stderr, "cdsspec-fuzz: unknown flag '%s'\n", a.c_str());
-      usage();
-      return kExitUsage;
-    }
+  const Flag flags[] = {
+      {{"--trials", &trials}, "N", "fuzz N seeded random programs"},
+      {{"--seed", &base_seed}, "S", "root seed; trial seeds derive from it"},
+      {{"--timeout", &timeout}, "SECS", "wall-clock budget for the campaign"},
+      {{"--out", &ex.out_dir}, "DIR", "where minimized repros are written"},
+      {{"--json", &json}, "", "machine-readable campaign summary"},
+      {{"--unsound-hook", cds::support::enum_ref<3>(&cfg.unsound_hook)}, "",
+       "arm a broken engine variant (self-validation only)", {1, 2}},
+      {{"--jobs", &cfg.jobs}, "N", "N forked workers per DFS behavior set",
+       {1, 256}},
+      {{"--metrics-out", &metrics_out}, "FILE",
+       "JSON snapshot of the campaign's metrics"},
+      {{"--explore", cds::support::enum_ref<2>(&cfg.explore)}, "",
+       "exploration mode of the engine under test"},
+      {{"--cross-backend", &ex.cross_backend}, "",
+       "also require stress behaviors inside the model's"},
+      {{"--stress-iters", &ex.stress_iters}, "N",
+       "stress iterations per --cross-backend check", {1}},
+      {{"--herd-out", &ex.herd_out}, "DIR",
+       "export each program and its behavior set for herd7"},
+      {.field = {"--replay"}, .metavar = "FILE...",
+       .help = "re-check repro or corpus programs instead of fuzzing",
+       .list = &replay},
+      {.field = {"--replay-dir"}, .metavar = "DIR",
+       .help = "re-check every *.litmus file in DIR", .list = &replay,
+       .expand = litmus_files},
+  };
+  std::string err;
+  if (!cds::support::parse_flags(argc, argv, 1, flags, &err)) {
+    std::fprintf(stderr, "cdsspec-fuzz: %s\n", err.c_str());
+    usage(flags);
+    return kExitUsage;
   }
 
-  ex.out_dir = out_dir;
   if (!ex.herd_out.empty() && !writable_dir(ex.herd_out)) {
     std::fprintf(stderr,
                  "cdsspec-fuzz: --herd-out: '%s' is not a writable directory\n",
@@ -564,7 +471,7 @@ int main(int argc, char** argv) {
     return replay_files(replay, cfg, json, ex);
   }
   if (trials == 0) {
-    usage();
+    usage(flags);
     return kExitUsage;
   }
 
@@ -630,7 +537,7 @@ int main(int argc, char** argv) {
             return reproduces(c, d.oracle, tcfg);
           },
           &ms);
-      r.path = write_repro(out_dir, r);
+      r.path = write_repro(ex.out_dir, r);
       // Pin the disagreement down to one replayable execution: a .trail
       // beside the .litmus lets --replay confirm the witness in a single
       // deterministic run instead of a full oracle sweep.

@@ -1,48 +1,15 @@
-// cdsspec-run — command-line driver over the benchmark registry.
-//
-//   cdsspec-run --list
-//   cdsspec-run <benchmark>                 run a benchmark's unit tests
-//   cdsspec-run <benchmark> --inject <i>    weaken the i-th injectable site
-//   cdsspec-run <benchmark> --sites         list the benchmark's sites
-//   cdsspec-run <benchmark> --sweep         run the injection experiment
-//   cdsspec-run --replay-trail <file>       re-execute one recorded execution
-//   cdsspec-run --worker ADDR               serve shards for a coordinator
-//
-// Backends: --backend model (default) explores exhaustively under the
-// C/C++11 model; --backend stress re-runs the same test bodies on real
-// std::threads with seeded preemption (--iters N per unit test,
-// --threads-mult R concurrent runners). Stress runs sample hardware
-// schedules, so they never verify: the verdict is falsified (exit 1) or
-// inconclusive (exit 3), never verified-exhaustive.
-//
-// Flags: --explore schedule|rf (branch on scheduler choices — the default —
-//            or on reads-from classes: one representative execution per
-//            (rf,mo,sc) class, typically far fewer executions for the same
-//            behavior set; see mc/revisit.h),
-//        --cap N (execution cap), --stale N (stale-read bound),
-//        --timeout SECS (wall-clock budget; degrades to sampling),
-//        --mem-cap MB (memory budget), --seed N (RNG seed),
-//        --checkpoint FILE (write-ahead shard journal; a serial run
-//            journals one shard per unit test, see harness/parallel.h),
-//        --resume (replay the --checkpoint journal, recompute the rest),
-//        --trail-out FILE (write a .trail repro of the found violation),
-//        --jobs N (parallel sharded exploration over forked workers),
-//        --shard-depth N (prefix depth for --jobs shard enumeration),
-//        --dist-workers N (distributed exploration over N forked
-//            socket-connected workers), --coordinator ADDR (listen address
-//            for external --worker processes), --lease-secs S
-//            (assignment lease), --max-shard-retries N,
-//        --progress[=SECS] (heartbeat lines on stderr while exploring),
-//        --metrics-out FILE (JSON snapshot of the metrics registry),
-//        --trace-out FILE (Chrome trace-event JSON; open in Perfetto),
-//        --json (machine-readable results),
-//        --no-sleep-sets, --stop-on-violation, --reports
+// cdsspec-run — command-line driver over the benchmark registry: checks a
+// benchmark's unit tests under the C/C++11 model (or samples them on real
+// threads with --backend stress, which can falsify but never verify), runs
+// its injection campaign, replays a .trail repro, or serves shards as a
+// distributed worker. `cdsspec-run` alone prints usage, which is rendered
+// from the flag tables in main().
 //
 // Exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error
 //             (also: replay divergence, resume config mismatch),
 //             3 inconclusive (budget/cap hit; sampled without a finding).
 #include <cstdio>
-#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,6 +26,7 @@
 #include "obs/trace_export.h"
 #include "spec/checker.h"
 #include "spec/render.h"
+#include "support/flags.h"
 #include "support/record.h"
 #include "support/rng.h"
 
@@ -69,68 +37,26 @@ constexpr int kExitFalsified = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitInconclusive = 3;
 
-void usage() {
-  std::printf(
-      "usage: cdsspec-run --list\n"
-      "       cdsspec-run <benchmark> [--inject I | --sites | --sweep]\n"
-      "                   [--backend model|stress] [--iters N]\n"
-      "                   [--threads-mult R] [--explore schedule|rf]\n"
-      "                   [--cap N] [--stale N] [--timeout SECS] [--mem-cap MB]\n"
-      "                   [--seed N] [--checkpoint FILE] [--resume]\n"
-      "                   [--trail-out FILE] [--json] [--no-sleep-sets]\n"
-      "                   [--stop-on-violation] [--reports] [--dot]\n"
-      "                   [--jobs N] [--shard-depth N] [--progress[=SECS]]\n"
-      "                   [--metrics-out FILE] [--trace-out FILE]\n"
-      "                   [--dist-workers N] [--coordinator ADDR]\n"
-      "                   [--lease-secs S] [--max-shard-retries N]\n"
-      "       cdsspec-run --replay-trail FILE\n"
-      "       cdsspec-run --worker ADDR [--progress[=SECS]]\n"
-      "                   [--connect-timeout S]\n"
-      "addresses: 'host:port' (TCP) or 'unix:PATH' (Unix-domain socket)\n"
-      "durability: --checkpoint FILE names a write-ahead shard journal;\n"
-      "            --resume with the same flags replays it after a crash\n"
-      "            to a bit-identical verdict and counter set\n"
-      "exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error\n"
-      "            (also replay divergence / resume mismatch), 3 inconclusive\n");
-}
-
-// Strict numeric parsing (support/record.h): the whole argument must be a
-// non-negative number. Rejects the silent garbage atoi accepts ("-3",
-// "2x", "", " -5").
-using cds::support::parse_double;
+using cds::support::Flag;
 using cds::support::parse_u64;
 
-// Fetches the value of flag `name` at argv[i+1], parses it with `parse`,
-// and advances i. Prints usage and returns false on any failure.
-template <typename T>
-bool flag_value(int argc, char** argv, int* i, const char* name, T* out,
-                bool (*parse)(std::string_view, T*)) {
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "cdsspec-run: %s requires a value\n", name);
-    usage();
-    return false;
-  }
-  ++*i;
-  if (!parse(argv[*i], out)) {
-    std::fprintf(stderr, "cdsspec-run: invalid value for %s: '%s'\n", name,
-                 argv[*i]);
-    usage();
-    return false;
-  }
-  return true;
+void usage(std::span<const Flag> commands, std::span<const Flag> flags,
+           std::span<const Flag> worker_flags) {
+  std::printf(
+      "usage: cdsspec-run <benchmark> [flags]\n"
+      "       cdsspec-run <command>\n"
+      "commands:\n%s"
+      "flags:\n%s"
+      "worker flags (after --worker ADDR):\n%s"
+      "addresses: 'host:port' (TCP) or 'unix:PATH' (Unix-domain socket)\n"
+      "exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error\n"
+      "            (also replay divergence / resume mismatch), 3 inconclusive\n",
+      cds::support::flag_usage(commands).c_str(),
+      cds::support::flag_usage(flags).c_str(),
+      cds::support::flag_usage(worker_flags).c_str());
 }
 
-// String-valued flag: takes argv[i+1] verbatim and advances i.
-bool flag_str(int argc, char** argv, int* i, const char* name,
-              std::string* out) {
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "cdsspec-run: %s requires a value\n", name);
-    usage();
-    return false;
-  }
-  *out = argv[++*i];
-  return true;
-}
+const char* backend_name(bool stress) { return stress ? "stress" : "model"; }
 
 // `cdsspec-run --replay-trail FILE`: load a .trail repro, resolve its
 // "<benchmark>#<index>" test, take on the recorded config, and
@@ -188,6 +114,11 @@ int replay_trail(const std::string& path) {
   if (!tf.inject_site.empty()) {
     std::printf("re-activating injection: %s\n", tf.inject_site.c_str());
   }
+  auto print_recorded = [&tf] {
+    if (tf.kind.empty()) return;
+    std::printf("trail records: %s%s%s\n", tf.kind.c_str(),
+                tf.detail.empty() ? "" : " -- ", tf.detail.c_str());
+  };
 
   // Stress trails replay by re-running one iteration under the recorded
   // seed: the preemption decision stream is reproduced exactly, the
@@ -203,10 +134,7 @@ int replay_trail(const std::string& path) {
                           std::move(oc.detail));
     }
     cds::inject::clear_injection();
-    if (!tf.kind.empty()) {
-      std::printf("trail records: %s%s%s\n", tf.kind.c_str(),
-                  tf.detail.empty() ? "" : " -- ", tf.detail.c_str());
-    }
+    print_recorded();
     std::printf("re-ran one stress iteration of %s under seed %llu\n",
                 tf.test_name.c_str(),
                 static_cast<unsigned long long>(tf.config.seed));
@@ -244,10 +172,7 @@ int replay_trail(const std::string& path) {
                  path.c_str(), divergence.c_str());
     return kExitUsage;
   }
-  if (!tf.kind.empty()) {
-    std::printf("trail records: %s%s%s\n", tf.kind.c_str(),
-                tf.detail.empty() ? "" : " -- ", tf.detail.c_str());
-  }
+  print_recorded();
   std::printf("replayed %zu recorded choices deterministically (test %s)\n",
               tf.choices.size(), tf.test_name.c_str());
   if (reproduced > 0) {
@@ -260,29 +185,22 @@ int replay_trail(const std::string& path) {
   return kExitVerified;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using cds::support::json_escape;
 
 const char* bstr(bool b) { return b ? "true" : "false"; }
+
+// Writes `tf` to `path` and says so: "wrote <what>: ...".
+void write_trail(const std::string& path, const cds::mc::TrailFile& tf,
+                 const char* what) {
+  std::string err;
+  if (!cds::mc::write_trail_file(path, tf, &err)) {
+    std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n", path.c_str(),
+                 err.c_str());
+  } else {
+    std::printf("wrote %s: %s (%s in %s)\n", what, path.c_str(),
+                tf.kind.c_str(), tf.test_name.c_str());
+  }
+}
 
 int exit_code_for(cds::mc::Verdict v) {
   switch (v) {
@@ -487,279 +405,150 @@ void print_sweep_json(const cds::harness::InjectionSummary& sum,
 
 int main(int argc, char** argv) {
   cds::ds::register_all_benchmarks();
-  if (argc < 2) {
-    usage();
-    return kExitUsage;
-  }
+  using cds::support::enum_ref;
 
-  std::string cmd = argv[1];
-  if (cmd == "--replay-trail") {
-    if (argc != 3) {
-      std::fprintf(stderr, "cdsspec-run: --replay-trail requires a file\n");
-      usage();
-      return kExitUsage;
-    }
-    return replay_trail(argv[2]);
-  }
-  if (cmd == "--worker") {
-    if (argc < 3) {
-      std::fprintf(stderr, "cdsspec-run: --worker requires an address\n");
-      usage();
-      return kExitUsage;
-    }
-    cds::dist::WorkerOptions wo;
-    for (int i = 3; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a == "--progress") {
-        wo.progress_interval_seconds = 2.0;
-      } else if (a.rfind("--progress=", 0) == 0) {
-        double secs = 0.0;
-        if (!parse_double(a.c_str() + 11, &secs) || secs <= 0.0) {
-          std::fprintf(stderr,
-                       "cdsspec-run: --progress wants a positive interval\n");
-          return kExitUsage;
-        }
-        wo.progress_interval_seconds = secs;
-      } else if (a == "--connect-timeout") {
-        if (!flag_value(argc, argv, &i, "--connect-timeout",
-                        &wo.connect_timeout_seconds, parse_double))
-          return kExitUsage;
-      } else {
-        std::fprintf(stderr, "cdsspec-run: unknown --worker flag '%s'\n",
-                     a.c_str());
-        usage();
-        return kExitUsage;
-      }
-    }
-    return cds::dist::run_worker(argv[2], wo) == 0 ? kExitVerified
-                                                   : kExitUsage;
-  }
-  if (cmd == "--list") {
-    for (const auto& b : cds::harness::benchmarks()) {
-      std::printf("%-22s %s (%zu unit tests, %zu injectable sites)\n",
-                  b.name.c_str(), b.display.c_str(), b.tests.size(),
-                  [&] {
-                    std::size_t n = 0;
-                    for (const auto& s : cds::inject::sites_for(b.name)) {
-                      if (s.injectable()) ++n;
-                    }
-                    return n;
-                  }());
-    }
-    return 0;
-  }
-
-  const auto* b = cds::harness::find_benchmark(cmd);
-  if (b == nullptr) {
-    std::fprintf(stderr, "unknown benchmark '%s' (try --list)\n", cmd.c_str());
-    return kExitUsage;
-  }
+  bool list = false, serving = false;
+  std::string trail_path, worker_addr;
+  const Flag commands[] = {
+      {{"--list", &list}, "", "list the registered benchmarks"},
+      {{"--replay-trail", &trail_path}, "FILE",
+       "re-execute the one execution a .trail file records"},
+      {{"--worker", &worker_addr}, "ADDR",
+       "serve shards to the coordinator listening on ADDR", {}, &serving},
+  };
 
   cds::harness::RunOptions opts;
-  cds::harness::SweepOptions sweep_opts;
+  cds::harness::ParallelOptions popts;
+  cds::dist::DistOptions dopts;
+  cds::harness::StressOptions sopts;
+  cds::dist::WorkerOptions wo;
   bool sites = false, sweep = false, reports = false, dot = false, json = false;
-  bool have_timeout = false;
-  std::uint64_t inject_idx_u = 0;
-  bool have_inject = false;
-  bool want_resume = false;
-  std::string journal_path;
-  std::string trail_out;
-  std::string metrics_out;
-  std::string trace_out;
-  std::uint64_t jobs_u = 1;
-  std::uint64_t shard_depth_u = 2;
-  std::uint64_t dist_workers_u = 0;
-  std::string backend = "model";
-  std::uint64_t iters_u = 256;
-  std::uint64_t threads_mult_u = 1;
-  bool have_stress_flag = false;
-  std::string coordinator_addr;
-  double lease_secs = 5.0;
-  std::uint64_t max_shard_retries_u = 3;
-  std::uint64_t chaos_kill_u = 0;
-  std::uint64_t chaos_coord_kill_append_u = 0;
-  std::uint64_t chaos_coord_kill_merge_u = 0;
-  std::uint64_t chaos_coord_trunc_u = 0;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--sites") sites = true;
-    else if (a == "--sweep") sweep = true;
-    else if (a == "--reports") reports = true;
-    else if (a == "--dot") dot = true;
-    else if (a == "--json") json = true;
-    else if (a == "--no-sleep-sets") opts.engine.enable_sleep_sets = false;
-    else if (a == "--stop-on-violation") opts.engine.stop_on_first_violation = true;
-    else if (a == "--inject") {
-      if (!flag_value(argc, argv, &i, "--inject", &inject_idx_u, parse_u64))
-        return kExitUsage;
-      have_inject = true;
-    } else if (a == "--cap") {
-      if (!flag_value(argc, argv, &i, "--cap", &opts.engine.max_executions,
-                      parse_u64))
-        return kExitUsage;
-    } else if (a == "--stale") {
-      std::uint64_t v = 0;
-      if (!flag_value(argc, argv, &i, "--stale", &v, parse_u64))
-        return kExitUsage;
-      if (v > 0xffffffffull) {
-        std::fprintf(stderr, "cdsspec-run: --stale value too large\n");
-        return kExitUsage;
-      }
-      opts.engine.stale_read_bound = static_cast<std::uint32_t>(v);
-    } else if (a == "--timeout") {
-      if (!flag_value(argc, argv, &i, "--timeout",
-                      &opts.engine.time_budget_seconds, parse_double))
-        return kExitUsage;
-      have_timeout = true;
-    } else if (a == "--mem-cap") {
-      std::uint64_t mb = 0;
-      if (!flag_value(argc, argv, &i, "--mem-cap", &mb, parse_u64))
-        return kExitUsage;
-      opts.engine.memory_budget_bytes =
-          static_cast<std::size_t>(mb) * 1024 * 1024;
-    } else if (a == "--seed") {
-      if (!flag_value(argc, argv, &i, "--seed", &opts.engine.seed, parse_u64))
-        return kExitUsage;
-      sweep_opts.seed = opts.engine.seed;
-    } else if (a == "--checkpoint") {
-      if (!flag_str(argc, argv, &i, "--checkpoint", &journal_path))
-        return kExitUsage;
-    } else if (a == "--resume") {
-      want_resume = true;
-    } else if (a == "--trail-out") {
-      if (!flag_str(argc, argv, &i, "--trail-out", &trail_out))
-        return kExitUsage;
-    } else if (a == "--metrics-out") {
-      if (!flag_str(argc, argv, &i, "--metrics-out", &metrics_out))
-        return kExitUsage;
-    } else if (a == "--trace-out") {
-      if (!flag_str(argc, argv, &i, "--trace-out", &trace_out))
-        return kExitUsage;
-    } else if (a == "--progress") {
-      opts.engine.progress_interval_seconds = 2.0;
-    } else if (a.rfind("--progress=", 0) == 0) {
-      double secs = 0.0;
-      if (!parse_double(a.c_str() + 11, &secs) || secs <= 0.0) {
-        std::fprintf(stderr,
-                     "cdsspec-run: --progress wants a positive interval in "
-                     "seconds, not '%s'\n",
-                     a.c_str() + 11);
-        return kExitUsage;
-      }
-      opts.engine.progress_interval_seconds = secs;
-    } else if (a == "--jobs") {
-      if (!flag_value(argc, argv, &i, "--jobs", &jobs_u, parse_u64))
-        return kExitUsage;
-      if (jobs_u == 0 || jobs_u > 256) {
-        std::fprintf(stderr, "cdsspec-run: --jobs must be in 1..256\n");
-        return kExitUsage;
-      }
-    } else if (a == "--shard-depth") {
-      if (!flag_value(argc, argv, &i, "--shard-depth", &shard_depth_u,
-                      parse_u64))
-        return kExitUsage;
-      if (shard_depth_u == 0 || shard_depth_u > 16) {
-        std::fprintf(stderr, "cdsspec-run: --shard-depth must be in 1..16\n");
-        return kExitUsage;
-      }
-    } else if (a == "--backend") {
-      if (!flag_str(argc, argv, &i, "--backend", &backend))
-        return kExitUsage;
-      if (backend != "model" && backend != "stress") {
-        std::fprintf(stderr,
-                     "cdsspec-run: --backend must be 'model' or 'stress', "
-                     "not '%s'\n",
-                     backend.c_str());
-        return kExitUsage;
-      }
-    } else if (a == "--explore") {
-      std::string mode;
-      if (!flag_str(argc, argv, &i, "--explore", &mode))
-        return kExitUsage;
-      if (mode == "schedule") {
-        opts.engine.explore = cds::mc::ExploreMode::kSchedule;
-      } else if (mode == "rf") {
-        opts.engine.explore = cds::mc::ExploreMode::kRf;
-      } else {
-        std::fprintf(stderr,
-                     "cdsspec-run: --explore must be 'schedule' or 'rf', "
-                     "not '%s'\n",
-                     mode.c_str());
-        return kExitUsage;
-      }
-    } else if (a == "--iters") {
-      if (!flag_value(argc, argv, &i, "--iters", &iters_u, parse_u64))
-        return kExitUsage;
-      if (iters_u == 0) {
-        std::fprintf(stderr, "cdsspec-run: --iters must be positive\n");
-        return kExitUsage;
-      }
-      have_stress_flag = true;
-    } else if (a == "--threads-mult") {
-      if (!flag_value(argc, argv, &i, "--threads-mult", &threads_mult_u,
-                      parse_u64))
-        return kExitUsage;
-      if (threads_mult_u == 0 || threads_mult_u > 64) {
-        std::fprintf(stderr,
-                     "cdsspec-run: --threads-mult must be in 1..64\n");
-        return kExitUsage;
-      }
-      have_stress_flag = true;
-    } else if (a == "--dist-workers") {
-      if (!flag_value(argc, argv, &i, "--dist-workers", &dist_workers_u,
-                      parse_u64))
-        return kExitUsage;
-      if (dist_workers_u == 0 || dist_workers_u > 64) {
-        std::fprintf(stderr, "cdsspec-run: --dist-workers must be in 1..64\n");
-        return kExitUsage;
-      }
-    } else if (a == "--coordinator") {
-      if (!flag_str(argc, argv, &i, "--coordinator", &coordinator_addr))
-        return kExitUsage;
-    } else if (a == "--lease-secs") {
-      if (!flag_value(argc, argv, &i, "--lease-secs", &lease_secs,
-                      parse_double))
-        return kExitUsage;
-      if (lease_secs <= 0.0) {
-        std::fprintf(stderr, "cdsspec-run: --lease-secs must be positive\n");
-        return kExitUsage;
-      }
-    } else if (a == "--max-shard-retries") {
-      if (!flag_value(argc, argv, &i, "--max-shard-retries",
-                      &max_shard_retries_u, parse_u64))
-        return kExitUsage;
-      if (max_shard_retries_u > 100) {
-        std::fprintf(stderr,
-                     "cdsspec-run: --max-shard-retries must be <= 100\n");
-        return kExitUsage;
-      }
-    } else if (a == "--chaos-kill-assignment") {
-      // Undocumented test/CI hook: SIGKILL the first forked worker on its
-      // K-th assignment to exercise lease revocation + retry.
-      if (!flag_value(argc, argv, &i, "--chaos-kill-assignment", &chaos_kill_u,
-                      parse_u64))
-        return kExitUsage;
-    } else if (a == "--chaos-coord-kill-append") {
-      // Undocumented test/CI hooks: coordinator-side crash injection in
-      // the journal's write-ahead windows (see dist/chaos.h). Each names
-      // the 1-based ordinal of a journal append by this incarnation.
-      if (!flag_value(argc, argv, &i, "--chaos-coord-kill-append",
-                      &chaos_coord_kill_append_u, parse_u64))
-        return kExitUsage;
-    } else if (a == "--chaos-coord-kill-merge") {
-      if (!flag_value(argc, argv, &i, "--chaos-coord-kill-merge",
-                      &chaos_coord_kill_merge_u, parse_u64))
-        return kExitUsage;
-    } else if (a == "--chaos-coord-truncate-tail") {
-      if (!flag_value(argc, argv, &i, "--chaos-coord-truncate-tail",
-                      &chaos_coord_trunc_u, parse_u64))
-        return kExitUsage;
-    } else {
-      std::fprintf(stderr, "cdsspec-run: unknown flag '%s'\n", a.c_str());
-      usage();
-      return kExitUsage;
+  bool stress_mode = false;
+  bool have_inject = false, have_timeout = false, have_stress_flag = false;
+  std::uint64_t inject_idx = 0, mem_cap_mb = 0;
+  std::string trail_out, metrics_out, trace_out;
+  std::uint64_t chaos_kill = 0, chaos_coord_kill_append = 0,
+                chaos_coord_kill_merge = 0, chaos_coord_trunc = 0;
+  const Flag progress = {{"--progress", &opts.engine.progress_interval_seconds},
+                         "SECS", "heartbeat every SECS seconds",
+                         cds::support::kPositive, nullptr, "2"};
+  const Flag flags[] = {
+      {{"--inject", &inject_idx}, "I",
+       "weaken the I-th injectable site and run once", {}, &have_inject},
+      {{"--sites", &sites}, "", "list the benchmark's injectable sites"},
+      {{"--sweep", &sweep}, "", "weaken each site in turn (fork-isolated)"},
+      {{"--backend", enum_ref<2, backend_name>(&stress_mode)}, "",
+       "explore under the model, or sample on real threads"},
+      {{"--iters", &sopts.iters}, "N", "stress: iterations per unit test",
+       {1}, &have_stress_flag},
+      {{"--threads-mult", &sopts.threads_mult}, "R",
+       "stress: concurrent iteration runners", {1, 64}, &have_stress_flag},
+      {{"--explore", enum_ref<2>(&opts.engine.explore)}, "",
+       "branch on scheduler choices or on reads-from classes"},
+      {{"--cap", &opts.engine.max_executions}, "N", "stop after N executions"},
+      {{"--stale", &opts.engine.stale_read_bound}, "N",
+       "stale reads a thread may take (DFS tree bound)"},
+      {{"--timeout", &opts.engine.time_budget_seconds}, "SECS",
+       "wall-clock budget (per trial under --sweep)", {}, &have_timeout},
+      {{"--mem-cap", &mem_cap_mb}, "MB", "memory budget"},
+      {{"--seed", &opts.engine.seed}, "N", "RNG seed"},
+      {{"--checkpoint", &popts.journal_path}, "FILE",
+       "write-ahead shard journal"},
+      {{"--resume", &popts.resume}, "",
+       "replay the --checkpoint journal, recompute the rest"},
+      {{"--trail-out", &trail_out}, "FILE",
+       "write a .trail repro of the found violation"},
+      {{"--json", &json}, "", "machine-readable results"},
+      {{"--no-sleep-sets", &opts.engine.enable_sleep_sets}, "",
+       "disable the sleep-set reduction", {}, nullptr, "0"},
+      {{"--stop-on-violation", &opts.engine.stop_on_first_violation}, "",
+       "stop at the first violation"},
+      {{"--reports", &reports}, "", "print every violation report"},
+      {{"--dot", &dot}, "", "print a unit test's call graph (Graphviz)"},
+      {{"--jobs", &popts.jobs}, "N",
+       "sharded exploration over N forked workers", {1, 256}},
+      {{"--shard-depth", &popts.shard_depth}, "N",
+       "prefix depth of the shard plan", {1, 16}},
+      progress,
+      {{"--metrics-out", &metrics_out}, "FILE",
+       "JSON snapshot of the metrics registry"},
+      {{"--trace-out", &trace_out}, "FILE",
+       "Chrome trace-event JSON (open in Perfetto)"},
+      {{"--dist-workers", &dopts.dist_workers}, "N",
+       "distributed run over N forked socket workers", {1, 64}},
+      {{"--coordinator", &dopts.listen}, "ADDR",
+       "listen for external --worker processes on ADDR"},
+      {{"--lease-secs", &dopts.lease_seconds}, "S",
+       "lease on one shard assignment", cds::support::kPositive},
+      {{"--max-shard-retries", &dopts.max_shard_retries}, "N",
+       "retries before a shard fails for good", {0, 100}},
+      // Test and CI hooks, left out of usage: SIGKILL the first forked
+      // worker on its K-th assignment, or the coordinator in the journal's
+      // write-ahead windows at its K-th append (see dist/chaos.h).
+      {{"--chaos-kill-assignment", &chaos_kill}, "K"},
+      {{"--chaos-coord-kill-append", &chaos_coord_kill_append}, "K"},
+      {{"--chaos-coord-kill-merge", &chaos_coord_kill_merge}, "K"},
+      {{"--chaos-coord-truncate-tail", &chaos_coord_trunc}, "K"},
+  };
+  const Flag worker_flags[] = {
+      progress,
+      {{"--connect-timeout", &wo.connect_timeout_seconds}, "S",
+       "give up after S seconds without a coordinator"},
+  };
+  // A usage error; one from a flag's own value also prints the usage.
+  auto refuse = [](const std::string& why) {
+    std::fprintf(stderr, "cdsspec-run: %s\n", why.c_str());
+    return kExitUsage;
+  };
+  auto usage_error = [&](const std::string& err) {
+    if (!err.empty()) refuse(err);
+    usage(commands, flags, worker_flags);
+    return kExitUsage;
+  };
+  std::string err;
+  if (argc < 2) return usage_error("");
+
+  // Benchmark names never start with '-'; commands do.
+  if (argv[1][0] == '-') {
+    int i = 1;
+    if (!cds::support::read_flag(argc, argv, &i, commands, &err)) {
+      return usage_error(err);
     }
+    if (list) {
+      for (const auto& b : cds::harness::benchmarks()) {
+        std::size_t n = 0;
+        for (const auto& s : cds::inject::sites_for(b.name)) {
+          if (s.injectable()) ++n;
+        }
+        std::printf("%-22s %s (%zu unit tests, %zu injectable sites)\n",
+                    b.name.c_str(), b.display.c_str(), b.tests.size(), n);
+      }
+      return 0;
+    }
+    if (serving) {
+      if (!cds::support::parse_flags(argc, argv, i, worker_flags, &err)) {
+        return usage_error(err);
+      }
+      wo.progress_interval_seconds = opts.engine.progress_interval_seconds;
+      return cds::dist::run_worker(worker_addr, wo) == 0 ? kExitVerified
+                                                         : kExitUsage;
+    }
+    if (i != argc) return usage_error("--replay-trail takes one file");
+    return replay_trail(trail_path);
   }
+
+  const auto* b = cds::harness::find_benchmark(argv[1]);
+  if (b == nullptr) {
+    std::fprintf(stderr, "unknown benchmark '%s' (try --list)\n", argv[1]);
+    return kExitUsage;
+  }
+  if (!cds::support::parse_flags(argc, argv, 2, flags, &err)) {
+    return usage_error(err);
+  }
+  opts.engine.memory_budget_bytes =
+      static_cast<std::size_t>(mem_cap_mb) * 1024 * 1024;
+  cds::harness::SweepOptions sweep_opts;
+  sweep_opts.seed = opts.engine.seed;
   // One seed reproduces the whole run: the spec checker's history sampler
   // derives its stream from the engine seed.
   opts.checker.seed = cds::support::derive_seed(opts.engine.seed, 1);
@@ -771,61 +560,42 @@ int main(int argc, char** argv) {
     opts.engine.watchdog_no_progress_execs = 100000;
   }
 
-  if ((sweep || dot) && (!journal_path.empty() || want_resume ||
+  if ((sweep || dot) && (!popts.journal_path.empty() || popts.resume ||
                          !trail_out.empty() || !metrics_out.empty() ||
                          !trace_out.empty())) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --checkpoint/--resume/--trail-out/"
-                 "--metrics-out/--trace-out apply to plain runs, not --sweep "
-                 "or --dot\n");
-    return kExitUsage;
+    return refuse("--checkpoint/--resume/--trail-out/--metrics-out/"
+                  "--trace-out apply to plain runs, not --sweep or --dot");
   }
-  if (want_resume && journal_path.empty()) {
-    std::fprintf(stderr, "cdsspec-run: --resume requires --checkpoint FILE\n");
-    return kExitUsage;
+  if (popts.resume && popts.journal_path.empty()) {
+    return refuse("--resume requires --checkpoint FILE");
   }
-  if (jobs_u > 1 && (sweep || dot)) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --jobs applies to plain runs only; "
-                 "--sweep/--dot stay serial\n");
-    return kExitUsage;
+  if (popts.jobs > 1 && (sweep || dot)) {
+    return refuse("--jobs applies to plain runs only; --sweep/--dot stay "
+                  "serial");
   }
-  const bool dist_mode = dist_workers_u > 0 || !coordinator_addr.empty();
-  if (dist_mode && (jobs_u > 1 || sweep || dot)) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --dist-workers/--coordinator apply to plain "
-                 "runs only and are exclusive with --jobs, --sweep and "
-                 "--dot\n");
-    return kExitUsage;
+  const bool dist_mode = dopts.dist_workers > 0 || !dopts.listen.empty();
+  if (dist_mode && (popts.jobs > 1 || sweep || dot)) {
+    return refuse("--dist-workers/--coordinator apply to plain runs only "
+                  "and are exclusive with --jobs, --sweep and --dot");
   }
   // A journal (--checkpoint) turns a serial run into a one-job shard
   // run: the coordinator-side chaos hooks then apply to it as well.
-  const bool journaled = !journal_path.empty();
-  if (!journaled && jobs_u <= 1 && !dist_mode &&
-      (chaos_coord_kill_append_u > 0 || chaos_coord_kill_merge_u > 0 ||
-       chaos_coord_trunc_u > 0)) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --chaos-coord-* apply to --checkpoint, --jobs "
-                 "and --dist-workers runs only\n");
-    return kExitUsage;
+  const bool journaled = !popts.journal_path.empty();
+  if (!journaled && popts.jobs <= 1 && !dist_mode &&
+      (chaos_coord_kill_append > 0 || chaos_coord_kill_merge > 0 ||
+       chaos_coord_trunc > 0)) {
+    return refuse("--chaos-coord-* apply to --checkpoint, --jobs and "
+                  "--dist-workers runs only");
   }
-  const bool stress_mode = backend == "stress";
   if (have_stress_flag && !stress_mode) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --iters/--threads-mult apply to "
-                 "--backend stress only\n");
-    return kExitUsage;
+    return refuse("--iters/--threads-mult apply to --backend stress only");
   }
-  if (stress_mode &&
-      (sweep || dot || jobs_u > 1 || dist_mode || want_resume ||
-       journaled || !metrics_out.empty() ||
-       !trace_out.empty())) {
-    std::fprintf(stderr,
-                 "cdsspec-run: --backend stress runs plain only; it is "
-                 "exclusive with --sweep, --dot, --jobs, --dist-workers/"
-                 "--coordinator, --checkpoint/--resume, --metrics-out and "
-                 "--trace-out\n");
-    return kExitUsage;
+  if (stress_mode && (sweep || dot || popts.jobs > 1 || dist_mode ||
+                      popts.resume || journaled || !metrics_out.empty() ||
+                      !trace_out.empty())) {
+    return refuse("--backend stress runs plain only; it is exclusive with "
+                  "--sweep, --dot, --jobs, --dist-workers/--coordinator, "
+                  "--checkpoint/--resume, --metrics-out and --trace-out");
   }
 
   if (sites) {
@@ -873,21 +643,17 @@ int main(int argc, char** argv) {
   std::string injected_site_name;
   if (have_inject) {
     std::uint64_t i = 0;
-    bool found = false;
     for (const auto& s : cds::inject::sites_for(b->name)) {
-      if (!s.injectable()) continue;
-      if (i++ == inject_idx_u) {
-        std::printf("injecting: %s (%s -> %s)\n", s.name.c_str(),
-                    to_string(s.def), to_string(s.weakened()));
-        cds::inject::inject(s.id);
-        injected_site_name = s.name;
-        found = true;
-        break;
-      }
+      if (!s.injectable() || i++ != inject_idx) continue;
+      std::printf("injecting: %s (%s -> %s)\n", s.name.c_str(),
+                  to_string(s.def), to_string(s.weakened()));
+      cds::inject::inject(s.id);
+      injected_site_name = s.name;
+      break;
     }
-    if (!found) {
+    if (injected_site_name.empty()) {
       std::fprintf(stderr, "no injectable site #%llu (try --sites)\n",
-                   static_cast<unsigned long long>(inject_idx_u));
+                   static_cast<unsigned long long>(inject_idx));
       return kExitUsage;
     }
   }
@@ -909,9 +675,6 @@ int main(int argc, char** argv) {
   }
 
   if (stress_mode) {
-    cds::harness::StressOptions sopts;
-    sopts.iters = iters_u;
-    sopts.threads_mult = static_cast<int>(threads_mult_u);
     sopts.stop_on_first_violation = opts.engine.stop_on_first_violation;
 
     cds::harness::StressStats total;
@@ -949,9 +712,9 @@ int main(int argc, char** argv) {
       std::printf("  \"seed\": %llu,\n",
                   static_cast<unsigned long long>(opts.engine.seed));
       std::printf("  \"iters\": %llu,\n",
-                  static_cast<unsigned long long>(iters_u));
+                  static_cast<unsigned long long>(sopts.iters));
       std::printf("  \"threads_mult\": %llu,\n",
-                  static_cast<unsigned long long>(threads_mult_u));
+                  static_cast<unsigned long long>(sopts.threads_mult));
       std::printf("  \"iterations\": %llu,\n",
                   static_cast<unsigned long long>(total.iterations));
       std::printf("  \"violations_total\": %llu,\n",
@@ -970,8 +733,8 @@ int main(int argc, char** argv) {
           "backend=stress iterations=%llu (%llu per unit test, "
           "threads-mult %llu) violations=%llu\n",
           static_cast<unsigned long long>(total.iterations),
-          static_cast<unsigned long long>(iters_u),
-          static_cast<unsigned long long>(threads_mult_u),
+          static_cast<unsigned long long>(sopts.iters),
+          static_cast<unsigned long long>(sopts.threads_mult),
           static_cast<unsigned long long>(total.violations_total));
       std::printf("spec: histories=%llu unresolved-by-cap=%llu\n",
                   static_cast<unsigned long long>(
@@ -1006,15 +769,7 @@ int main(int argc, char** argv) {
         tf.detail = v.detail;
         tf.inject_site = injected_site_name;
         tf.choices = v.decisions;
-        std::string err;
-        if (!cds::mc::write_trail_file(trail_out, tf, &err)) {
-          std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n",
-                       trail_out.c_str(), err.c_str());
-        } else {
-          std::printf("wrote stress repro trail: %s (%s in %s)\n",
-                      trail_out.c_str(), tf.kind.c_str(),
-                      tf.test_name.c_str());
-        }
+        write_trail(trail_out, tf, "stress repro trail");
       }
     }
     cds::inject::clear_injection();
@@ -1024,58 +779,34 @@ int main(int argc, char** argv) {
   cds::harness::RunResult r;
   cds::harness::ParallelRunResult par;
   cds::dist::DistRunResult dist;
-  const bool parallel = jobs_u > 1;
+  const bool parallel = popts.jobs > 1;
   // A journaled serial run is a one-job shard run: one shard per unit
   // test, the same journal records as --jobs.
   const bool pooled = parallel || (journaled && !dist_mode);
+  // A chaos ordinal of 0 leaves its hook off (-1).
+  auto ordinal = [](std::uint64_t k) {
+    return k > 0 ? static_cast<std::ptrdiff_t>(k) : std::ptrdiff_t{-1};
+  };
   cds::dist::CoordinatorChaos coord_chaos;
-  if (chaos_coord_kill_append_u > 0) {
-    coord_chaos.kill_after_append =
-        static_cast<std::ptrdiff_t>(chaos_coord_kill_append_u);
-  }
-  if (chaos_coord_kill_merge_u > 0) {
-    coord_chaos.kill_before_merge_on =
-        static_cast<std::ptrdiff_t>(chaos_coord_kill_merge_u);
-  }
-  if (chaos_coord_trunc_u > 0) {
-    coord_chaos.truncate_tail_after =
-        static_cast<std::ptrdiff_t>(chaos_coord_trunc_u);
-  }
+  coord_chaos.kill_after_append = ordinal(chaos_coord_kill_append);
+  coord_chaos.kill_before_merge_on = ordinal(chaos_coord_kill_merge);
+  coord_chaos.truncate_tail_after = ordinal(chaos_coord_trunc);
   if (dist_mode) {
-    cds::dist::DistOptions dopts;
-    dopts.listen = coordinator_addr;
-    dopts.dist_workers = static_cast<int>(dist_workers_u);
-    dopts.lease_seconds = lease_secs;
-    dopts.max_shard_retries = static_cast<int>(max_shard_retries_u);
-    dopts.shard_depth = static_cast<int>(shard_depth_u);
+    dopts.shard_depth = popts.shard_depth;
     dopts.worker_progress_interval_seconds =
         opts.engine.progress_interval_seconds;
-    dopts.journal_path = journal_path;
-    dopts.resume = want_resume;
+    dopts.journal_path = popts.journal_path;
+    dopts.resume = popts.resume;
     dopts.coord_chaos = coord_chaos;
-    if (chaos_kill_u > 0) {
-      dopts.worker_chaos.kill_on_assignment =
-          static_cast<std::ptrdiff_t>(chaos_kill_u);
-    }
+    dopts.worker_chaos.kill_on_assignment = ordinal(chaos_kill);
     dist = cds::dist::run_benchmark_distributed(*b, opts, dopts);
-    if (!dist.resume_error.empty()) {
-      std::fprintf(stderr, "cdsspec-run: %s\n", dist.resume_error.c_str());
-      return kExitUsage;
-    }
+    if (!dist.resume_error.empty()) return refuse(dist.resume_error);
     r = std::move(dist.merged);
   } else if (pooled) {
-    cds::harness::ParallelOptions popts;
-    popts.jobs = static_cast<int>(jobs_u);
-    popts.shard_depth = static_cast<int>(shard_depth_u);
     if (!parallel) popts.max_shards = 1;
-    popts.journal_path = journal_path;
-    popts.resume = want_resume;
     popts.coord_chaos = coord_chaos;
     par = cds::harness::run_benchmark_parallel(*b, opts, popts);
-    if (!par.resume_error.empty()) {
-      std::fprintf(stderr, "cdsspec-run: %s\n", par.resume_error.c_str());
-      return kExitUsage;
-    }
+    if (!par.resume_error.empty()) return refuse(par.resume_error);
     r = std::move(par.merged);
   } else {
     r = cds::harness::run_benchmark(*b, opts);
@@ -1161,14 +892,7 @@ int main(int argc, char** argv) {
       tf.detail = pick->detail;
       tf.inject_site = injected_site_name;
       tf.choices = pick->trail;
-      std::string err;
-      if (!cds::mc::write_trail_file(trail_out, tf, &err)) {
-        std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n",
-                     trail_out.c_str(), err.c_str());
-      } else {
-        std::printf("wrote repro trail: %s (%s in %s)\n", trail_out.c_str(),
-                    tf.kind.c_str(), tf.test_name.c_str());
-      }
+      write_trail(trail_out, tf, "repro trail");
     }
   }
 
