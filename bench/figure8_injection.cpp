@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
                 sum.admissibility, sum.assertion, sum.detection_rate() * 100);
     if (verbose) {
       for (const auto& o : sum.outcomes) {
-        std::printf("    %-45s %-8s -> %s\n", o.site.name.c_str(),
-                    to_string(o.site.def), cds::harness::to_string(o.how));
+        std::printf("    %-45s %-8s -> %s\n", o.site.c_str(),
+                    to_string(o.def), cds::harness::to_string(o.detection));
       }
     }
   }

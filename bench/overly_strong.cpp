@@ -22,11 +22,10 @@ int main() {
   for (const auto& b : cds::harness::benchmarks()) {
     auto sum = cds::harness::run_injection_experiment(b, opts);
     for (const auto& o : sum.outcomes) {
-      if (o.how != cds::harness::Detection::kNone) continue;
+      if (o.detection != cds::harness::Detection::kNone) continue;
       std::printf("  %-20s %-40s %s -> %s\n", b.display.c_str(),
-                  o.site.name.c_str(), to_string(o.site.def),
-                  to_string(o.site.weakened()));
-      if (b.name == "chase-lev-deque" && o.site.name == "take: top CAS") {
+                  o.site.c_str(), to_string(o.def), to_string(o.weakened));
+      if (b.name == "chase-lev-deque" && o.site == "take: top CAS") {
         found_paper_site = true;
       }
     }

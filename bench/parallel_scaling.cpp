@@ -133,17 +133,17 @@ int main(int argc, char** argv) {
           cds::dist::run_benchmark_distributed(b, opts, d);
       auto t1 = std::chrono::steady_clock::now();
       dist_secs = std::chrono::duration<double>(t1 - t0).count();
-      dist_failed = r.failed_shards;
+      dist_failed = r.crashed_shards;
       if (r.merged.mc.executions != serial.executions ||
           r.merged.mc.exhausted != serial.exhausted ||
-          r.failed_shards != 0) {
+          r.crashed_shards != 0) {
         std::fprintf(stderr,
                      "parallel_scaling: dist-workers=%d diverged from serial "
                      "on %s (execs %llu vs %llu, failed shards %llu)\n",
                      dist_workers, s.name,
                      static_cast<unsigned long long>(r.merged.mc.executions),
                      static_cast<unsigned long long>(serial.executions),
-                     static_cast<unsigned long long>(r.failed_shards));
+                     static_cast<unsigned long long>(r.crashed_shards));
         return 1;
       }
       std::printf(

@@ -40,6 +40,7 @@ struct Conn {
   int fd = -1;
   FrameBuffer buf;
   bool greeted = false;        // hello seen, welcome sent
+  std::size_t rank = 0;  // fork index of a local worker; external ones last
   std::uint64_t attempt = 0;   // attempt this worker believes it holds
   bool reading_payload = false;
   std::uint64_t payload_attempt = 0;
@@ -72,6 +73,7 @@ struct Coordinator {
   std::vector<Slot> slots;  // grows as the table mints sub-shards
 
   std::vector<Conn> conns;
+  std::vector<pid_t> local;  // forked local workers, in fork order
   std::map<std::uint64_t, Attempt> live;  // attempt id -> lease
   std::uint64_t attempt_counter = 0;
   std::uint64_t current_workers = 0;
@@ -199,10 +201,15 @@ struct Coordinator {
             std::max(0.001, d.lease_seconds / 3.0) * 1e6);
         if (!send_to(c, render_welcome(hb_us, epoch), "welcome")) return;
         c.greeted = true;
+        c.rank = static_cast<std::size_t>(
+            std::find(local.begin(), local.end(),
+                      static_cast<pid_t>(msg.pid)) -
+            local.begin());
         ++dr.connections_total;
         ++current_workers;
         last_worker_seen = now_seconds();
-        dr.workers_connected = std::max(dr.workers_connected, current_workers);
+        dr.workers_connected_peak =
+            std::max(dr.workers_connected_peak, current_workers);
         break;
       }
       case ControlLine::Kind::kHeartbeat:
@@ -294,6 +301,15 @@ struct Coordinator {
     return false;
   }
 
+  // Whether the first assignment still waits for the forked local workers
+  // to greet (see the file comment).
+  [[nodiscard]] bool holding(double start) const {
+    return attempt_counter == 0 && current_workers < local.size() &&
+           now_seconds() - start <= d.connect_deadline_seconds;
+  }
+
+  // Hands ready shards to idle workers in `conns` order: local workers in
+  // fork order, then external ones (the main loop keeps conns sorted).
   void assign_ready() {
     const double now = now_seconds();
     for (Conn& c : conns) {
@@ -368,7 +384,7 @@ struct Coordinator {
     const Attempt& at = live[running[v].id];
     for (Conn& c : conns) {
       if (!c.dead && c.fd == at.fd) {
-        if (send_to(c, render_steal(running[v].id), "steal")) ++dr.steals;
+        (void)send_to(c, render_steal(running[v].id), "steal");
         break;
       }
     }
@@ -388,8 +404,8 @@ void run_remaining_locally(const harness::Benchmark& b,
   dr.fell_back_local = true;
   harness::ParallelOptions local;
   local.jobs = d.fallback_jobs > 0 ? d.fallback_jobs : std::max(1, d.dist_workers);
-  harness::ParallelRunResult pool;
-  harness::run_on_fork_pool(table, b, opts, local, &pool);
+  std::vector<harness::ShardSpan> spans;
+  harness::run_on_fork_pool(table, b, opts, local, &spans);
 }
 
 }  // namespace
@@ -408,20 +424,14 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
           ? d.max_shards
           : static_cast<std::size_t>(std::max(1, d.dist_workers)) * 4;
   ShardTable table(b, opts, d.shard_depth, max_shards);
-  dr.probe_executions = table.probe_executions();
   if (!d.journal_path.empty() &&
       !table.open_journal(d.journal_path, d.resume, d.coord_chaos,
                           &dr.resume_error)) {
-    dr.shards = table.planned();
+    static_cast<ShardRunStats&>(dr) = table.stats();
     dr.merged.verdict = mc::Verdict::kInconclusive;
     dr.merged.mc.verdict = dr.merged.verdict;
     return dr;
   }
-  const std::uint64_t epoch = table.epoch();
-  dr.epoch = epoch;
-  dr.resumed = table.resumed();
-  dr.replayed_shards = table.replayed();
-  dr.journal_quarantined_bytes = table.quarantined_bytes();
 
   // After replay everything may already be resolved; don't spin up
   // sockets and workers just to have the main loop exit instantly.
@@ -444,7 +454,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
                  "cds::dist: cannot listen on '%s' (%s); running locally\n",
                  listen_spec.c_str(), err.c_str());
   }
-  dr.listen_address = listen_spec;
+  dr.listen = listen_spec;
 
   std::vector<pid_t> worker_pids;
   if (listen_fd >= 0) {
@@ -479,8 +489,8 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
     }
 
     Coordinator co{b, opts, d, dr, table, std::vector<Slot>(table.size()),
-                   {}, {}, 0, 0, now_seconds()};
-    co.epoch = epoch;
+                   {}, worker_pids, {}, 0, 0, now_seconds()};
+    co.epoch = table.stats().epoch;
     const double start = now_seconds();
     double steal_wake = std::numeric_limits<double>::infinity();
     while (!table.all_resolved()) {
@@ -517,7 +527,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       // Capped at 1s so clock surprises can't park the loop for long.
       double wake = now + 1.0;
       const auto consider = [&wake](double t) { wake = std::min(wake, t); };
-      if (dr.connections_total == 0) {
+      if (dr.connections_total == 0 || co.holding(start)) {
         consider(start + d.connect_deadline_seconds);
       }
       if (dr.connections_total > 0 && co.current_workers == 0) {
@@ -557,9 +567,13 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
       co.conns.erase(std::remove_if(co.conns.begin(), co.conns.end(),
                                     [](const Conn& c) { return c.dead; }),
                      co.conns.end());
+      std::stable_sort(co.conns.begin(), co.conns.end(),
+                       [](const Conn& x, const Conn& y) {
+                         return x.rank < y.rank;
+                       });
 
       co.sweep_leases();
-      co.assign_ready();
+      if (!co.holding(start)) co.assign_ready();
       steal_wake = co.maybe_steal();
     }
 
@@ -602,31 +616,9 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
   // Anything unresolved (listen failure, fallback trigger) finishes on
   // the local fork pool.
   run_remaining_locally(b, opts, d, table, dr);
-  dr.shards = table.size();
-  dr.steal_subshards = table.minted();
-  dr.failed_shards = table.failed();
+  static_cast<ShardRunStats&>(dr) = table.stats();
   dr.merged = table.finish();
-
-  obs::Registry& M = dr.merged.metrics;
-  M.gauge("dist.workers_requested")
-      .set(static_cast<std::uint64_t>(std::max(0, d.dist_workers)));
-  M.gauge("dist.workers_connected_peak").set(dr.workers_connected);
-  M.gauge("dist.connections_total").set(dr.connections_total);
-  M.gauge("dist.shards").set(dr.shards);
-  M.gauge("dist.probe_executions").set(dr.probe_executions);
-  M.gauge("dist.retries").set(dr.retries);
-  M.gauge("dist.leases_expired").set(dr.leases_expired);
-  M.gauge("dist.steals").set(dr.steals);
-  M.gauge("dist.steal_subshards").set(dr.steal_subshards);
-  M.gauge("dist.failed_shards").set(dr.failed_shards);
-  M.gauge("dist.stale_results").set(dr.stale_results);
-  M.gauge("dist.corrupt_results").set(dr.corrupt_results);
-  M.gauge("dist.fell_back_local").set(dr.fell_back_local ? 1 : 0);
-  M.gauge("dist.epoch").set(dr.epoch);
-  M.gauge("dist.resumed").set(dr.resumed ? 1 : 0);
-  M.gauge("dist.replayed_shards").set(dr.replayed_shards);
-  M.gauge("dist.fenced_results").set(dr.fenced_results);
-  M.gauge("dist.journal_quarantined_bytes").set(dr.journal_quarantined_bytes);
+  dr.merged.metrics.add_record("dist.", fields(dr));
   return dr;
 }
 

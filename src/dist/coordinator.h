@@ -12,6 +12,10 @@
 //     exponential backoff + deterministic jitter, up to max_shard_retries;
 //     after that the shard is recorded as a contained permanent failure
 //     (verdict degrades to inconclusive, the run completes);
+//   - the first assignment waits (at most the connect deadline) until as
+//     many workers have greeted as were forked, and idle workers take
+//     shards in fork order, external ones last: the first forked worker
+//     gets the first shard whatever order the workers connected in;
 //   - when a worker is idle and the queue is dry, the coordinator asks
 //     the worker of the oldest running shard to preempt it under the fork
 //     pool's steal rule (mc::StealRule: once the shard has run 2 ms, one
@@ -39,10 +43,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dist/chaos.h"
+#include "dist/shard_table.h"
 #include "dist/worker.h"
 #include "harness/runner.h"
+#include "support/record.h"
 
 namespace cds::dist {
 
@@ -69,8 +76,9 @@ struct DistOptions {
   std::size_t max_shards = 0;  // 0 = max(dist_workers, 1) * 4
   // Fork-pool width for the local fallback. 0 = max(dist_workers, 1).
   int fallback_jobs = 0;
-  // Fault injection applied to the FIRST forked local worker (chaos
-  // tests / the CI chaos step). External workers configure their own.
+  // Fault injection applied to the FIRST forked local worker, the one
+  // that takes the first assignment (chaos tests / the CI chaos step).
+  // External workers configure their own.
   ChaosOptions worker_chaos;
   // Coordinator-side fault injection (journal-append crash windows).
   CoordinatorChaos coord_chaos;
@@ -91,31 +99,41 @@ struct DistOptions {
   double worker_progress_interval_seconds = 0.0;
 };
 
-struct DistRunResult {
+// The shard table's facts (ShardRunStats) plus the socket scheduler's own.
+struct DistRunResult : ShardRunStats {
   harness::RunResult merged;
-  std::uint64_t shards = 0;  // planned + minted by stealing
-  std::uint64_t probe_executions = 0;
+  std::string listen;  // resolved address actually listened on
+  std::uint64_t workers_connected_peak = 0;  // peak concurrent workers
+  std::uint64_t connections_total = 0;  // hellos accepted (incl. reconnects)
   std::uint64_t retries = 0;          // attempts rescheduled (any cause)
   std::uint64_t leases_expired = 0;   // revocations by lease timeout
-  std::uint64_t steals = 0;           // preemption requests sent
-  std::uint64_t steal_subshards = 0;  // minted: splits, capped re-runs
-  std::uint64_t failed_shards = 0;    // permanent failures (out of retries)
   std::uint64_t stale_results = 0;    // revoked-attempt reports dropped
   std::uint64_t corrupt_results = 0;  // unparseable result payloads
-  std::uint64_t workers_connected = 0;  // peak concurrent workers
-  std::uint64_t connections_total = 0;  // hellos accepted (incl. reconnects)
+  std::uint64_t fenced_results = 0;   // out-of-epoch reports dropped
   bool fell_back_local = false;
-  std::string listen_address;  // resolved address actually listened on
-  // Durability (journal) bookkeeping.
-  std::uint64_t epoch = 0;             // this incarnation (0 = no journal)
-  bool resumed = false;                // a prior journal was replayed
-  std::uint64_t replayed_shards = 0;   // shards satisfied from the journal
-  std::uint64_t fenced_results = 0;    // out-of-epoch reports dropped
-  std::uint64_t journal_quarantined_bytes = 0;  // torn-tail bytes set aside
   // Non-empty: --resume was rejected (journal recorded under a different
   // benchmark, config fingerprint, or shard plan); nothing was run.
   std::string resume_error;
 };
+
+// The `dist` record: the shard facts, then the socket-only ones. --json,
+// the `dist:` text line and the dist.* gauges render it.
+inline std::vector<support::Field> fields(DistRunResult& r) {
+  const auto shard = fields(static_cast<ShardRunStats&>(r));
+  std::vector<support::Field> f(shard.begin(), shard.end());
+  f.insert(f.end(), {
+                        {"listen", &r.listen},
+                        {"workers_connected_peak", &r.workers_connected_peak},
+                        {"connections_total", &r.connections_total},
+                        {"retries", &r.retries},
+                        {"leases_expired", &r.leases_expired},
+                        {"stale_results", &r.stale_results},
+                        {"corrupt_results", &r.corrupt_results},
+                        {"fenced_results", &r.fenced_results},
+                        {"fell_back_local", &r.fell_back_local},
+                    });
+  return f;
+}
 
 // Distributed analog of run_benchmark_parallel: plans shards exactly the
 // same way, distributes them to workers, and merges to the same

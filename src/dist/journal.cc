@@ -25,7 +25,7 @@ namespace cds::dist {
 
 namespace {
 
-constexpr const char* kMagic = "cdsspec-journal v4";
+constexpr const char* kMagic = "cdsspec-journal v5";
 
 constexpr const char* kVerbs[] = {"run",  "lease",  "result",
                                   "mint", "failed", "done"};

@@ -16,10 +16,10 @@
 // and a codec record (support/record.h), so payloads and nested records
 // ride escaped in one token each:
 //
-//   cdsspec-journal v4
+//   cdsspec-journal v5
 //   run epoch=<e> shards=<n> planhash=<h> bench=<s> config=<record> checker=<record> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
-//   result shard=<i> attempt=<id> payload=<shard-result v6 text> #crc=<8hex>
+//   result shard=<i> attempt=<id> payload=<shard-result v7 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
 //   failed shard=<i> attempt=<id> reason=<text> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
@@ -30,8 +30,8 @@
 // first key that differs. v2 carried the config as a hand-written
 // fingerprint; v3 added kRevisit choices to results and mints; v4 makes
 // every record a codec record and carries the injection site and the
-// checker options. An older journal fails the magic check and is set
-// aside like any damaged header.
+// checker options; v5 holds shard-result v7 payloads. An older journal
+// fails the magic check and is set aside like any damaged header.
 //
 // Every record carries a CRC-32 of its own body; a torn or corrupted
 // tail (power loss mid-append, bit rot) is detected on load, set aside
@@ -72,7 +72,7 @@ struct JournalRecord {
   std::uint64_t attempt = 0;  // 0 = local fork-pool path (no lease)
   std::uint64_t count = 0;    // kMint: sub-shards appended
 
-  // kResult: the raw shard-result v6 text exactly as the worker sent it
+  // kResult: the raw shard-result v7 text exactly as the worker sent it
   // (pre-normalization, so replay re-mints preempted shards' sub-shards
   // from the journaled frontier). kFailed: the failure reason.
   std::string payload;

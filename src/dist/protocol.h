@@ -9,7 +9,7 @@
 //   worker -> coordinator
 //     hello cdsspec-dist v1 pid=<pid>
 //     hb <shard_id>
-//     result <shard_id> <nbytes>\n<nbytes of shard-result v6 text>
+//     result <shard_id> <nbytes>\n<nbytes of shard-result v7 text>
 //     failed <shard_id> <escaped reason>
 //
 //   coordinator -> worker

@@ -24,7 +24,7 @@ ShardTable::ShardTable(const harness::Benchmark& b,
     pcfg.test_index = static_cast<std::uint32_t>(i);
     mc::ShardPlan plan = mc::enumerate_shard_prefixes(pcfg, b.tests[i],
                                                       shard_depth, max_shards);
-    probe_ += plan.probe_executions;
+    stats_.probe_executions += plan.probe_executions;
     const std::size_t count = plan.prefixes.size();
     for (std::size_t u = 0; u < count; ++u) {
       Shard s;
@@ -55,11 +55,15 @@ bool ShardTable::all_resolved() const {
   });
 }
 
-std::uint64_t ShardTable::failed() const {
-  return static_cast<std::uint64_t>(
-      std::count_if(shards_.begin(), shards_.end(), [](const Shard& s) {
-        return s.state == State::kFailed;
+ShardRunStats ShardTable::stats() const {
+  ShardRunStats s = stats_;
+  s.shards = shards_.size();
+  s.minted = shards_.size() - planned_;
+  s.crashed_shards = static_cast<std::uint64_t>(
+      std::count_if(shards_.begin(), shards_.end(), [](const Shard& sh) {
+        return sh.state == State::kFailed;
       }));
+  return s;
 }
 
 bool ShardTable::splittable() const {
@@ -80,14 +84,14 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
   const std::string config =
       support::render_record(opts_.engine, inject::active_site_name());
   const std::string checker = support::render_record(opts_.checker);
-  epoch_ = 1;
+  stats_.epoch = 1;
   if (resume) {
     JournalReplay rep;
     std::string jerr;
     if (!load_journal(path, &rep, &jerr)) {
       std::fprintf(stderr, "cds::dist: %s; starting fresh\n", jerr.c_str());
     }
-    quarantined_bytes_ = rep.quarantined_bytes;
+    stats_.journal_quarantined_bytes = rep.quarantined_bytes;
     if (!rep.quarantine_note.empty()) {
       std::fprintf(stderr, "cds::dist: %s\n", rep.quarantine_note.c_str());
     }
@@ -117,8 +121,8 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
                         "parameters)";
         return false;
       }
-      resumed_ = true;
-      epoch_ = rep.last_epoch + 1;
+      stats_.resumed = true;
+      stats_.epoch = rep.last_epoch + 1;
       // Lease and mint records are informational: an in-flight shard stays
       // pending, and a journaled preempted result re-mints by itself.
       for (const JournalRecord& r : rep.records) {
@@ -142,7 +146,7 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
             continue;
           }
           apply(sidx, std::move(sr));
-          ++replayed_;
+          ++stats_.replayed_shards;
         } else if (r.kind == JournalRecord::Kind::kFailed &&
                    sidx < shards_.size() &&
                    shards_[sidx].state == State::kPending) {
@@ -154,7 +158,7 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
     }
   }
   std::string jerr;
-  if (!journal_.open(path, /*truncate=*/!resumed_, &jerr)) {
+  if (!journal_.open(path, /*truncate=*/!stats_.resumed, &jerr)) {
     std::fprintf(stderr, "cds::dist: %s; continuing without durability\n",
                  jerr.c_str());
     return true;
@@ -162,7 +166,7 @@ bool ShardTable::open_journal(const std::string& path, bool resume,
   journal_.set_chaos(chaos);
   JournalRecord run;
   run.kind = JournalRecord::Kind::kRun;
-  run.epoch = epoch_;
+  run.epoch = stats_.epoch;
   run.shards = planned_;
   run.plan_hash = plan_hash;
   run.bench = b_.name;
@@ -212,6 +216,7 @@ std::size_t ShardTable::accept(std::size_t sidx, std::uint64_t attempt,
   rec.attempt = attempt;
   rec.payload = text;
   journal(rec);
+  if (sr.stats.preempted) ++stats_.steals;
   const std::size_t minted = apply(sidx, std::move(sr));
   if (minted > 0) {
     // Informational (replay re-mints from the result record itself); lets

@@ -30,6 +30,7 @@
 #ifndef CDS_DIST_SHARD_TABLE_H
 #define CDS_DIST_SHARD_TABLE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -40,8 +41,41 @@
 #include "dist/journal.h"
 #include "harness/runner.h"
 #include "harness/shard_result.h"
+#include "support/record.h"
 
 namespace cds::dist {
+
+// What a sharded run reports about its shards, read off the table by both
+// executors. The `parallel` and `dist` blocks of --json, their text lines
+// and their gauges all render this record (support/record.h), so each fact
+// has one name under --jobs and --dist-workers alike.
+struct ShardRunStats {
+  std::uint64_t shards = 0;          // planned + minted work units
+  std::uint64_t minted = 0;          // split from frontiers, or capped re-runs
+  // Shards whose subtree went unexplored: a fork-pool worker died or sent
+  // a corrupt result, or a socket shard spent its retries.
+  std::uint64_t crashed_shards = 0;
+  std::uint64_t steals = 0;  // preempted results accepted
+  std::uint64_t probe_executions = 0;
+  std::uint64_t epoch = 0;            // this incarnation (0 = no journal)
+  bool resumed = false;               // a prior journal was replayed
+  std::uint64_t replayed_shards = 0;  // shards satisfied from the journal
+  std::uint64_t journal_quarantined_bytes = 0;  // torn-tail bytes set aside
+};
+
+inline std::array<support::Field, 9> fields(ShardRunStats& s) {
+  return {{
+      {"shards", &s.shards},
+      {"minted", &s.minted},
+      {"crashed_shards", &s.crashed_shards},
+      {"steals", &s.steals},
+      {"probe_executions", &s.probe_executions},
+      {"epoch", &s.epoch},
+      {"resumed", &s.resumed},
+      {"replayed_shards", &s.replayed_shards},
+      {"journal_quarantined_bytes", &s.journal_quarantined_bytes},
+  }};
+}
 
 class ShardTable {
  public:
@@ -54,11 +88,11 @@ class ShardTable {
   // ones first (indices below planned()), then the minted ones.
   [[nodiscard]] std::size_t size() const { return shards_.size(); }
   [[nodiscard]] std::size_t planned() const { return planned_; }
-  [[nodiscard]] std::size_t minted() const { return shards_.size() - planned_; }
   [[nodiscard]] const harness::ShardUnit& unit(std::size_t sidx) const {
     return shards_[sidx].unit;
   }
-  [[nodiscard]] std::uint64_t probe_executions() const { return probe_; }
+  // The run's shard facts so far.
+  [[nodiscard]] ShardRunStats stats() const;
 
   // ---- Shard states ----
   // pending -> running (an executor took it) -> done (accept) or failed
@@ -76,8 +110,6 @@ class ShardTable {
   void mark_running(std::size_t sidx) { shards_[sidx].state = State::kRunning; }
   void requeue(std::size_t sidx);
   [[nodiscard]] bool all_resolved() const;
-  // Shards whose subtree went unexplored (failed).
-  [[nodiscard]] std::uint64_t failed() const;
 
   // Whether this run's shards may be preempted so idle workers split
   // their remainder: not under a time or memory budget, the watchdog or
@@ -104,12 +136,6 @@ class ShardTable {
   [[nodiscard]] bool journaling() const {
     return journal_.is_open() && !journal_broken_;
   }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  [[nodiscard]] bool resumed() const { return resumed_; }
-  [[nodiscard]] std::uint64_t replayed() const { return replayed_; }
-  [[nodiscard]] std::uint64_t quarantined_bytes() const {
-    return quarantined_bytes_;
-  }
 
   // ---- Results ----
   // Strict parse of shard `sidx`'s result text, plus the check that a
@@ -120,7 +146,8 @@ class ShardTable {
   // the raw text is journaled write-ahead, then applied. Returns how many
   // shards it appended: the sub-shards minted from a preempted result, or
   // a whole re-run when a split planned shard reached the execution cap.
-  // A dropped shard's result is neither journaled nor applied.
+  // A dropped shard's result is neither journaled nor applied; an applied
+  // preempted one counts as a steal.
   std::size_t accept(std::size_t sidx, std::uint64_t attempt,
                      const std::string& text, harness::ShardResult sr);
   // `sidx`'s subtree will not be covered. With `journaled`, the failure is
@@ -158,7 +185,9 @@ class ShardTable {
   const harness::RunOptions& opts_;
   std::vector<Shard> shards_;
   std::size_t planned_ = 0;
-  std::uint64_t probe_ = 0;
+  // Probe executions, steals and the journal's facts; stats() adds the
+  // shard counts.
+  ShardRunStats stats_;
   // Folded counters, and per unit test whether every result so far
   // exhausted its subtree, any falsified, and how many engine fatals.
   harness::RunResult total_;
@@ -174,10 +203,6 @@ class ShardTable {
 
   JournalWriter journal_;
   bool journal_broken_ = false;
-  std::uint64_t epoch_ = 0;
-  bool resumed_ = false;
-  std::uint64_t replayed_ = 0;
-  std::uint64_t quarantined_bytes_ = 0;
 };
 
 }  // namespace cds::dist

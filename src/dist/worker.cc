@@ -152,8 +152,31 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
   Outcome out = Outcome::kDone;
   bool done = false;
   bool computing = true;  // the child still holds the unit
-
   while (!done) {
+    // Act on the control lines buffered so far, before the first poll too:
+    // a steal or quit can arrive in the same read as its assignment.
+    std::string line;
+    while (ws.buf.next_line(&line)) {
+      ControlLine c;
+      std::string err;
+      if (!parse_control_line(line, &c, &err)) {
+        std::fprintf(stderr, "cds::dist::worker: dropping garbage: %s\n",
+                     err.c_str());
+        continue;
+      }
+      if (c.kind == ControlLine::Kind::kQuit) {
+        out = Outcome::kQuit;
+        done = true;
+        break;
+      }
+      if (c.kind == ControlLine::Kind::kSteal && c.shard_id == a.shard_id) {
+        ws.child.stop(a.shard_id);
+      }
+      // Anything else mid-assignment (another assign, a stray welcome)
+      // is a coordinator bug; ignore rather than desync.
+    }
+    if (done) break;
+
     pollfd pfds[2];
     pfds[0] = {ws.fd, POLLIN, 0};
     pfds[1] = {ws.child.result_fd(), POLLIN, 0};
@@ -181,31 +204,10 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
         break;
       }
       ws.buf.append(tmp, static_cast<std::size_t>(got));
-      std::string line;
-      while (ws.buf.next_line(&line)) {
-        ControlLine c;
-        std::string err;
-        if (!parse_control_line(line, &c, &err)) {
-          std::fprintf(stderr, "cds::dist::worker: dropping garbage: %s\n",
-                       err.c_str());
-          continue;
-        }
-        if (c.kind == ControlLine::Kind::kQuit) {
-          out = Outcome::kQuit;
-          done = true;
-          break;
-        }
-        if (c.kind == ControlLine::Kind::kSteal && c.shard_id == a.shard_id) {
-          ws.child.stop(a.shard_id);
-        }
-        // Anything else mid-assignment (another assign, a stray welcome)
-        // is a coordinator bug; ignore rather than desync.
-      }
       if (ws.buf.overflowed()) {
         out = Outcome::kConnLost;
         break;
       }
-      if (done) break;
     }
 
     if ((pfds[1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;

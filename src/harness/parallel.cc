@@ -14,7 +14,7 @@ namespace cds::harness {
 
 void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
                       const RunOptions& opts, const ParallelOptions& par,
-                      ParallelRunResult* pr) {
+                      std::vector<ShardSpan>* spans) {
   const std::size_t planned = table.planned();
 
   // One pool unit per shard; a minted shard exists only in this process,
@@ -65,7 +65,7 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
       span.worker = ur.worker;
       span.start_seconds = ur.assigned_seconds;
       span.duration_seconds = ur.done_seconds - ur.assigned_seconds;
-      pr->spans.push_back(std::move(span));
+      spans->push_back(std::move(span));
     }
     if (!ur.ran) {
       // The crashed worker's shard is final, for a resumed run too.
@@ -83,7 +83,6 @@ void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
       table.fail(sidx, 0, why, /*journaled=*/false);
       return;
     }
-    if (sr.stats.preempted) ++pr->steals;
     const std::size_t first = table.size();
     const std::size_t appended = table.accept(sidx, 0, ur.text, std::move(sr));
     std::string().swap(ur.text);  // folded; the merge needs no copy
@@ -129,40 +128,19 @@ ParallelRunResult run_benchmark_parallel(const Benchmark& b,
       par.max_shards != 0 ? par.max_shards
                           : static_cast<std::size_t>(pr.jobs) * 4;
   dist::ShardTable table(b, opts, par.shard_depth, max_shards);
-  pr.probe_executions = table.probe_executions();
-  if (!par.journal_path.empty() &&
-      !table.open_journal(par.journal_path, par.resume, par.coord_chaos,
-                          &pr.resume_error)) {
-    pr.shards = table.planned();
-    pr.merged.verdict = mc::Verdict::kInconclusive;
-    pr.merged.mc.verdict = pr.merged.verdict;
-    return pr;
+  // A refused resume runs nothing: every shard counts as unexplored.
+  if (par.journal_path.empty() ||
+      table.open_journal(par.journal_path, par.resume, par.coord_chaos,
+                         &pr.resume_error)) {
+    run_on_fork_pool(table, b, opts, par, &pr.spans);
   }
-  pr.epoch = table.epoch();
-  pr.resumed = table.resumed();
-  pr.replayed_shards = table.replayed();
-  pr.journal_quarantined_bytes = table.quarantined_bytes();
-
-  run_on_fork_pool(table, b, opts, par, &pr);
-  pr.shards = table.size();
-  pr.minted = table.minted();
-  pr.crashed_shards = table.failed();
+  static_cast<dist::ShardRunStats&>(pr) = table.stats();
   pr.merged = table.finish();
 
   // Pool facts: wall-clock and topology, so they live in gauges/timers,
   // never in the bit-identical counter set.
   obs::Registry& M = pr.merged.metrics;
-  M.gauge("parallel.jobs").set(static_cast<std::uint64_t>(pr.jobs));
-  M.gauge("parallel.shards").set(pr.shards);
-  M.gauge("parallel.crashed_shards").set(pr.crashed_shards);
-  M.gauge("parallel.probe_executions").set(pr.probe_executions);
-  M.gauge("parallel.steals").set(pr.steals);
-  M.gauge("parallel.minted").set(pr.minted);
-  M.gauge("parallel.epoch").set(pr.epoch);
-  M.gauge("parallel.resumed").set(pr.resumed ? 1 : 0);
-  M.gauge("parallel.replayed_shards").set(pr.replayed_shards);
-  M.gauge("parallel.journal_quarantined_bytes")
-      .set(pr.journal_quarantined_bytes);
+  M.add_record("parallel.", fields(pr));
   // Per-worker busy time and unit counts, plus the aggregate wait from the
   // pool's start to each assignment.
   std::map<int, std::pair<double, std::uint64_t>> worker_busy;  // w -> {s, n}

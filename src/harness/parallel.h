@@ -47,11 +47,9 @@
 #include <vector>
 
 #include "dist/chaos.h"
+#include "dist/shard_table.h"
 #include "harness/runner.h"
-
-namespace cds::dist {
-class ShardTable;
-}
+#include "support/record.h"
 
 namespace cds::harness {
 
@@ -91,24 +89,24 @@ struct ShardSpan {
   double duration_seconds = 0.0;  // assignment-to-result wall time
 };
 
-struct ParallelRunResult {
+// The shard table's facts (dist::ShardRunStats) plus the pool's own.
+struct ParallelRunResult : dist::ShardRunStats {
   RunResult merged;
   int jobs = 1;
-  std::uint64_t shards = 0;          // planned + minted work units
-  std::uint64_t crashed_shards = 0;  // worker died / result unparseable
-  std::uint64_t probe_executions = 0;
-  std::uint64_t steals = 0;  // shards preempted for idle workers
-  std::uint64_t minted = 0;  // split from frontiers, or capped re-runs
   std::vector<ShardSpan> spans;
-  // Durability (journal) bookkeeping.
-  std::uint64_t epoch = 0;            // this incarnation (0 = no journal)
-  bool resumed = false;               // a prior journal was replayed
-  std::uint64_t replayed_shards = 0;  // shards satisfied from the journal
-  std::uint64_t journal_quarantined_bytes = 0;  // torn-tail bytes set aside
   // Non-empty: resume was rejected (journal recorded under a different
   // benchmark, config fingerprint, or shard plan); nothing was run.
   std::string resume_error;
 };
+
+// The `parallel` record: jobs, then the shard facts. --json, the
+// `parallel:` text line and the parallel.* gauges render it.
+inline std::vector<support::Field> fields(ParallelRunResult& r) {
+  std::vector<support::Field> f = {{"jobs", &r.jobs}};
+  const auto shard = fields(static_cast<dist::ShardRunStats&>(r));
+  f.insert(f.end(), shard.begin(), shard.end());
+  return f;
+}
 
 // Parallel analog of run_benchmark(). A run checkpoints through the
 // write-ahead journal (`ParallelOptions::journal_path`/`resume`),
@@ -125,12 +123,12 @@ ParallelRunResult run_benchmark_parallel(const Benchmark& b,
 // Runs every pending shard of `table` on one pool of `par.jobs` forked
 // workers that steal as described above, feeding each result into the
 // table as it arrives (journaled first when the table journals). Uses
-// `par`'s jobs and kill hook, and adds the pool's facts (spans, steals)
-// to *pr. run_benchmark_parallel and the socket coordinator's local
-// fallback both run shards this way.
+// `par`'s jobs and kill hook, and appends each shard's span to *spans.
+// run_benchmark_parallel and the socket coordinator's local fallback both
+// run shards this way.
 void run_on_fork_pool(dist::ShardTable& table, const Benchmark& b,
                       const RunOptions& opts, const ParallelOptions& par,
-                      ParallelRunResult* pr);
+                      std::vector<ShardSpan>* spans);
 
 }  // namespace cds::harness
 

@@ -1,7 +1,6 @@
 #include "harness/runner.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "mc/shard.h"
@@ -159,25 +158,16 @@ namespace {
 // whole campaign with it).
 InjectionOutcome run_trial_inline(const Benchmark& b, const RunOptions& opts,
                                   const inject::Site& site) {
-  InjectionOutcome out;
-  out.site = site;
+  InjectionOutcome out{
+      .site = site.name, .def = site.def, .weakened = site.weakened()};
   inject::inject(site.id);
   RunResult r = run_benchmark(b, opts);
   inject::clear_injection();
-  out.how = classify(r);
+  out.detection = classify(r);
   out.verdict = r.verdict;
   out.status = TrialStatus::kCompleted;
   out.seconds = r.mc.seconds;
   return out;
-}
-
-// What a forked trial reports back to the sweep.
-std::array<support::Field, 3> trial_fields(InjectionOutcome& o) {
-  return {{
-      {"how", support::enum_ref<4>(&o.how)},
-      {"verdict", support::enum_ref<3>(&o.verdict)},
-      {"seconds", &o.seconds},
-  }};
 }
 
 // Runs one trial in a fresh unit child (mc/shard.h) with a wall-clock
@@ -186,13 +176,12 @@ std::array<support::Field, 3> trial_fields(InjectionOutcome& o) {
 // contained.
 InjectionOutcome run_trial_forked(const Benchmark& b, const RunOptions& opts,
                                   const inject::Site& site, double timeout_s) {
-  InjectionOutcome out;
-  out.site = site;
+  InjectionOutcome out{
+      .site = site.name, .def = site.def, .weakened = site.weakened()};
   mc::UnitChild child;
   const mc::UnitWork work = [&](std::size_t, const std::string&,
                                 const std::function<bool()>&) {
-    InjectionOutcome o = run_trial_inline(b, opts, site);
-    return support::render_fields(trial_fields(o));
+    return support::render_record(run_trial_inline(b, opts, site));
   };
   if (!child.start(work)) return run_trial_inline(b, opts, site);
   const auto t0 = std::chrono::steady_clock::now();
@@ -206,7 +195,7 @@ InjectionOutcome run_trial_forked(const Benchmark& b, const RunOptions& opts,
     return out;
   }
   if (r == mc::UnitChild::Read::kResult &&
-      support::parse_fields(text, trial_fields(out), &err)) {
+      support::parse_record(text, &err, out)) {
     return out;
   }
   child.finish(/*kill=*/true);  // reaped already if it died
@@ -225,7 +214,6 @@ InjectionSummary run_injection_experiment(const Benchmark& b,
                                           const RunOptions& opts,
                                           const SweepOptions& sweep) {
   InjectionSummary sum;
-  sum.benchmark = b.name;
   for (const inject::Site& site : inject::sites_for(b.name)) {
     if (!site.injectable()) continue;
     RunOptions trial_opts = opts;
@@ -252,7 +240,7 @@ InjectionSummary run_injection_experiment(const Benchmark& b,
 
     switch (out.status) {
       case TrialStatus::kCompleted:
-        switch (out.how) {
+        switch (out.detection) {
           case Detection::kBuiltin: ++sum.builtin; break;
           case Detection::kAdmissibility: ++sum.admissibility; break;
           case Detection::kAssertion: ++sum.assertion; break;

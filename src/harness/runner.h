@@ -4,6 +4,7 @@
 #ifndef CDS_HARNESS_RUNNER_H
 #define CDS_HARNESS_RUNNER_H
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "obs/metrics.h"
 #include "spec/checker.h"
 #include "spec/specification.h"
+#include "support/record.h"
 
 namespace cds::harness {
 
@@ -115,14 +117,32 @@ enum class TrialStatus { kCompleted, kCrashed, kTimedOut };
 [[nodiscard]] const char* to_string(TrialStatus s);
 
 struct InjectionOutcome {
-  inject::Site site;
-  Detection how = Detection::kNone;
+  std::string site;  // the weakened site's name
+  mc::MemoryOrder def = mc::MemoryOrder::seq_cst;  // its default order
+  mc::MemoryOrder weakened = mc::MemoryOrder::seq_cst;  // the trial's order
   TrialStatus status = TrialStatus::kCompleted;
+  Detection detection = Detection::kNone;
   mc::Verdict verdict = mc::Verdict::kInconclusive;
-  int term_signal = 0;   // signal that killed a crashed child (0 if exit code)
   bool retried = false;  // timed out once and re-ran at a tighter cap
+  int term_signal = 0;   // signal that killed a crashed child (0 if exit code)
   double seconds = 0.0;
 };
+
+// The outcome record (support/record.h): a forked trial sends it to the
+// sweep, and --sweep --json prints one per trial.
+inline std::array<support::Field, 9> fields(InjectionOutcome& o) {
+  return {{
+      {"site", &o.site},
+      {"def", support::enum_ref<5>(&o.def)},
+      {"weakened", support::enum_ref<5>(&o.weakened)},
+      {"status", support::enum_ref<3>(&o.status)},
+      {"detection", support::enum_ref<4>(&o.detection)},
+      {"verdict", support::enum_ref<3>(&o.verdict)},
+      {"retried", &o.retried},
+      {"term_signal", &o.term_signal},
+      {"seconds", &o.seconds},
+  }};
+}
 
 // Fail-safe controls for the injection campaign. Defaults keep every
 // trial fork-isolated so one crashing or hanging trial cannot take the
@@ -138,7 +158,6 @@ struct SweepOptions {
 };
 
 struct InjectionSummary {
-  std::string benchmark;
   int injections = 0;
   int builtin = 0;
   int admissibility = 0;
@@ -159,6 +178,19 @@ struct InjectionSummary {
                : static_cast<double>(completed() - undetected) / completed();
   }
 };
+
+// The campaign's counts as a record: the `summary` block of --sweep --json.
+inline std::array<support::Field, 7> fields(InjectionSummary& s) {
+  return {{
+      {"injections", &s.injections},
+      {"builtin", &s.builtin},
+      {"admissibility", &s.admissibility},
+      {"assertion", &s.assertion},
+      {"undetected", &s.undetected},
+      {"crashed", &s.crashed},
+      {"timed_out", &s.timed_out},
+  }};
+}
 
 // Weakens each injectable site of the benchmark in turn (one per trial,
 // covering every memory-order parameter its tests exercise) and classifies

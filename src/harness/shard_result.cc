@@ -29,7 +29,7 @@ std::array<support::Field, 5> violation_fields(mc::Violation& v,
 }  // namespace
 
 std::string render_shard_result(const RunResult& r) {
-  std::string s = "shard-result v6\nstats " + support::render_record(r.mc) +
+  std::string s = "shard-result v7\nstats " + support::render_record(r.mc) +
                   "\nspec " + support::render_record(r.spec) + "\n";
   s += "violations " + std::to_string(r.violations.size()) + "\n";
   for (const mc::Violation& v : r.violations) {
@@ -103,7 +103,7 @@ bool parse_shard_result(const std::string& text, ShardResult* out,
     return *n <= lines.size() || fail(name + " count exceeds message");
   };
   const std::string* l = next();
-  if (l == nullptr || *l != "shard-result v6") {
+  if (l == nullptr || *l != "shard-result v7") {
     return fail("not a shard result (or a stale wire version)");
   }
   if (!tagged("stats")) return fail("missing stats line");

@@ -6,7 +6,7 @@
 // single lines (support/record.h) so the whole message parses
 // line-by-line:
 //
-//   shard-result v6
+//   shard-result v7
 //   stats executions=.. feasible=.. ... preempted=0|1 verdict=<name>
 //   spec checked=.. inadmissible=.. ... r_cycle=0|1
 //   violations <n>
@@ -37,9 +37,10 @@
 // v6: the stats and spec lines are the counter records of mc/stats.h and
 // spec/checker.h, and violation lines records too (support/record.h);
 // `seconds` is an exact double in place of whole microseconds and the
-// verdict is named.
+// verdict is named. v7: both records key every field by its member's name
+// (`max_trail_depth=`, not `max_depth=`), as the --json output does.
 //
-// Parsing is strict-versioned: a stale v1-v5 result (say, in a journal
+// Parsing is strict-versioned: a stale v1-v6 result (say, in a journal
 // written by an older build) is treated as corrupt (shard recomputed or
 // crashed) rather than silently merged with missing sections.
 #ifndef CDS_HARNESS_SHARD_RESULT_H

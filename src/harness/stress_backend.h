@@ -23,6 +23,7 @@
 #ifndef CDS_HARNESS_STRESS_BACKEND_H
 #define CDS_HARNESS_STRESS_BACKEND_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -36,6 +37,7 @@
 #include "mc/engine.h"
 #include "spec/annotations.h"
 #include "support/arena.h"
+#include "support/record.h"
 
 namespace cds::harness {
 
@@ -77,6 +79,20 @@ struct StressStats {
   std::uint64_t hung_iterations = 0;  // abandoned by the watchdog
   double seconds = 0.0;
 };
+
+// The stress counters as a record (support/record.h): unit tests' runs
+// sum, and --backend stress --json prints it as its `stats` block.
+inline std::array<support::Field, 6> fields(StressStats& s) {
+  using support::Merge;
+  return {{
+      {"iterations", &s.iterations, Merge::kSum},
+      {"violations_total", &s.violations_total, Merge::kSum},
+      {"spec_histories_checked", &s.spec_histories_checked, Merge::kSum},
+      {"spec_cap_hits", &s.spec_cap_hits, Merge::kSum},
+      {"hung_iterations", &s.hung_iterations, Merge::kSum},
+      {"seconds", &s.seconds, Merge::kSum},
+  }};
+}
 
 struct StressRunResult {
   StressStats stats;

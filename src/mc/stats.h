@@ -54,9 +54,11 @@ struct ExplorationStats {
 };
 
 // The counter record (support/record.h): the 22 fields a shard result
-// carries, each with its merge rule. Disjoint subtree shards partition the
-// executions of a serial run, so counters sum exactly (merged counts from
-// an exhaustive sharded run are bit-identical to the serial run's);
+// carries and the `stats` block of a --json document holds, each keyed by
+// its member's name and with its merge rule. Disjoint subtree shards
+// partition the executions of a serial run, so counters sum exactly
+// (merged counts from an exhaustive sharded run are bit-identical to the
+// serial run's);
 // budget/stop flags are sticky ORs, exhaustion is an AND (every shard must
 // finish its subtree), and depth is a max. `seconds` sums shard CPU time,
 // so it exceeds wall time when shards ran concurrently. Neither
@@ -71,20 +73,20 @@ inline std::array<support::Field, 22> fields(ExplorationStats& s) {
       {"pruned_bound", &s.pruned_bound, Merge::kSum},
       {"pruned_livelock", &s.pruned_livelock, Merge::kSum},
       {"pruned_redundant", &s.pruned_redundant, Merge::kSum},
-      {"builtin", &s.builtin_violation_execs, Merge::kSum},
-      {"fatal", &s.engine_fatal_execs, Merge::kSum},
-      {"crash", &s.crash_execs, Merge::kSum},
+      {"builtin_violation_execs", &s.builtin_violation_execs, Merge::kSum},
+      {"engine_fatal_execs", &s.engine_fatal_execs, Merge::kSum},
+      {"crash_execs", &s.crash_execs, Merge::kSum},
       {"violations_total", &s.violations_total, Merge::kSum},
       {"sampled", &s.sampled, Merge::kSum},
       {"rf_classes", &s.rf_classes, Merge::kSum},
       {"rf_infeasible", &s.rf_infeasible, Merge::kSum},
-      {"max_depth", &s.max_trail_depth, Merge::kMax},
+      {"max_trail_depth", &s.max_trail_depth, Merge::kMax},
       {"seconds", &s.seconds, Merge::kSum},
-      {"cap", &s.hit_execution_cap, Merge::kOr},
-      {"stopped", &s.stopped_early, Merge::kOr},
-      {"time", &s.hit_time_budget, Merge::kOr},
-      {"mem", &s.hit_memory_budget, Merge::kOr},
-      {"watchdog", &s.watchdog_fired, Merge::kOr},
+      {"hit_execution_cap", &s.hit_execution_cap, Merge::kOr},
+      {"stopped_early", &s.stopped_early, Merge::kOr},
+      {"hit_time_budget", &s.hit_time_budget, Merge::kOr},
+      {"hit_memory_budget", &s.hit_memory_budget, Merge::kOr},
+      {"watchdog_fired", &s.watchdog_fired, Merge::kOr},
       {"exhausted", &s.exhausted, Merge::kAnd},
       {"preempted", &s.preempted},
       {"verdict", support::enum_ref<3>(&s.verdict)},

@@ -25,8 +25,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "support/record.h"
@@ -92,6 +95,32 @@ class Registry {
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Timer& timer(const std::string& name) { return timers_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
+
+  // One metric per number or bool of a record (support/record.h), named
+  // `prefix` + its key: a summed integer is a counter and a summed double
+  // (seconds) a timer; any other integer or bool is a gauge.
+  void add_record(const std::string& prefix,
+                  std::span<const support::Field> fields) {
+    for (const support::Field& f : fields) {
+      const bool sum = f.merge == support::Merge::kSum;
+      const std::string name = prefix + f.key;
+      std::visit(
+          [&](auto r) {
+            using T = std::remove_pointer_t<decltype(r)>;
+            if constexpr (std::is_same_v<T, double>) {
+              if (sum) timer(name).add_ns(static_cast<std::uint64_t>(*r * 1e9));
+            } else if constexpr (std::is_integral_v<T>) {
+              const auto v = static_cast<std::uint64_t>(*r);
+              if (sum) {
+                counter(name).add(v);
+              } else {
+                gauge(name).set(v);
+              }
+            }
+          },
+          f.ref);
+    }
+  }
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;

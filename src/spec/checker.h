@@ -121,7 +121,8 @@ class SpecChecker : public mc::ExecutionListener {
 
 // The checker's option and counter records (support/record.h). The
 // options travel with the engine config in shard-assign and the shard
-// journal; the counters ride in shard results and merge by these rules.
+// journal; the counters ride in shard results and merge by these rules,
+// and are the `spec` block of a --json document.
 inline std::array<support::Field, 6> fields(SpecChecker::Options& o) {
   return {{
       {"max_histories", &o.max_histories},
@@ -136,13 +137,13 @@ inline std::array<support::Field, 6> fields(SpecChecker::Options& o) {
 inline std::array<support::Field, 7> fields(SpecChecker::Stats& s) {
   using support::Merge;
   return {{
-      {"checked", &s.executions_checked, Merge::kSum},
-      {"inadmissible", &s.inadmissible_execs, Merge::kSum},
-      {"assertions", &s.assertion_violation_execs, Merge::kSum},
-      {"histories", &s.histories_checked, Merge::kSum},
-      {"justifications", &s.justification_checks, Merge::kSum},
-      {"cap_hit", &s.history_cap_hit, Merge::kOr},
-      {"r_cycle", &s.r_cycle_seen, Merge::kOr},
+      {"executions_checked", &s.executions_checked, Merge::kSum},
+      {"inadmissible_execs", &s.inadmissible_execs, Merge::kSum},
+      {"assertion_violation_execs", &s.assertion_violation_execs, Merge::kSum},
+      {"histories_checked", &s.histories_checked, Merge::kSum},
+      {"justification_checks", &s.justification_checks, Merge::kSum},
+      {"history_cap_hit", &s.history_cap_hit, Merge::kOr},
+      {"r_cycle_seen", &s.r_cycle_seen, Merge::kOr},
   }};
 }
 

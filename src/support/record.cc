@@ -133,25 +133,63 @@ bool parse_double(std::string_view s, double* out) {
   return true;
 }
 
+namespace {
+
+// Appends field f's value: as a text token, or as a JSON value.
+void append_value(const Field& f, bool json, std::string* out) {
+  const auto quoted = [&](std::string_view s) {
+    *out += json ? '"' + json_escape(s) + '"' : std::string(s);
+  };
+  std::visit(Overloaded{
+                 [&](bool* m) {
+                   *out += json ? (*m ? "true" : "false") : (*m ? "1" : "0");
+                 },
+                 [&](std::string* m) { quoted(json ? *m : escape(*m)); },
+                 [&](const EnumRef& e) { quoted(e.name(e.get(e.member))); },
+                 [&](auto* m) {
+                   char buf[32];
+                   const auto end = std::to_chars(buf, buf + sizeof buf, *m);
+                   out->append(buf, end.ptr);
+                 },
+             },
+             f.ref);
+}
+
+}  // namespace
+
 std::string render_fields(std::span<const Field> fields) {
   std::string out;
   for (const Field& f : fields) {
     if (!out.empty()) out += ' ';
     out += f.key;
     out += '=';
-    std::visit(Overloaded{
-                   [&](bool* m) { out += *m ? '1' : '0'; },
-                   [&](std::string* m) { out += escape(*m); },
-                   [&](const EnumRef& e) { out += e.name(e.get(e.member)); },
-                   [&](auto* m) {
-                     char buf[32];
-                     out.append(buf,
-                                std::to_chars(buf, buf + sizeof buf, *m).ptr);
-                   },
-               },
-               f.ref);
+    append_value(f, /*json=*/false, &out);
   }
   return out;
+}
+
+std::string render_json(std::span<const Field> fields,
+                        std::span<const JsonMember> more) {
+  std::string out = "{";
+  for (const Field& f : fields) {
+    if (out.size() > 1) out += ", ";
+    out += '"' + std::string(f.key) + "\": ";
+    append_value(f, /*json=*/true, &out);
+  }
+  for (const JsonMember& m : more) {
+    out += out.size() > 1 ? ",\n  \"" : "\n  \"";
+    out += std::string(m.key) + "\": " + m.json;
+  }
+  return out + "}";
+}
+
+std::string render_json_array(std::span<const std::string> values) {
+  std::string out = "[";
+  for (const std::string& v : values) {
+    out += out.size() > 1 ? ",\n    " : "\n    ";
+    out += v;
+  }
+  return out + "]";
 }
 
 bool parse_fields(std::string_view text, std::span<const Field> fields,

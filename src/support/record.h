@@ -11,7 +11,8 @@
 // space. Parsing is strict: an unknown, missing or repeated key, or a
 // value that does not read back as its field's type (a sign, a space,
 // junk, an out-of-range number or enum name) rejects the whole record
-// with an error naming the key, and writes no field.
+// with an error naming the key, and writes no field. render_json renders
+// the same table as JSON, with the same keys in the same order.
 #ifndef CDS_SUPPORT_RECORD_H
 #define CDS_SUPPORT_RECORD_H
 
@@ -67,6 +68,21 @@ struct Field {
 };
 
 std::string render_fields(std::span<const Field> fields);
+
+// A JSON member whose value is JSON text already: a nested object or an
+// array.
+struct JsonMember {
+  const char* key;
+  std::string json;
+};
+
+// The JSON object of `fields` on one line: integers as numbers, bools as
+// true/false, enums and strings as escaped strings, doubles in the text
+// form's shortest exact decimal. Each of `more` follows on its own line.
+std::string render_json(std::span<const Field> fields,
+                        std::span<const JsonMember> more = {});
+// A JSON array of values rendered already, one per line.
+std::string render_json_array(std::span<const std::string> values);
 // Reads `text` as field f's type (the rules above), and stores it only
 // when `store` is set. False when the text does not read back.
 bool read_value(std::string_view text, const Field& f, bool store);

@@ -133,9 +133,9 @@ TEST(DistHarness, MergedStatsMatchSerialOnCleanBenchmarks) {
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_GT(r.shards, 1u) << "sharding should split the DFS tree";
   EXPECT_EQ(r.retries, 0u);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   EXPECT_FALSE(r.fell_back_local);
-  EXPECT_GE(r.workers_connected, 1u);
+  EXPECT_GE(r.workers_connected_peak, 1u);
   expect_dist_equals_serial(serial, r.merged);
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
 }
@@ -153,7 +153,7 @@ TEST(DistHarness, RfModeMergesBitIdenticalToSerialRf) {
   dist::DistOptions d;
   d.dist_workers = 4;
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   EXPECT_FALSE(r.fell_back_local);
   expect_dist_equals_serial(serial, r.merged);
   EXPECT_EQ(r.merged.mc.rf_classes, serial.mc.rf_classes);
@@ -212,7 +212,7 @@ TEST(DistHarness, BenchShapesBitIdenticalToSerial) {
     d.dist_workers = 4;
     dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
     EXPECT_GT(r.shards, 1u);
-    EXPECT_EQ(r.failed_shards, 0u);
+    EXPECT_EQ(r.crashed_shards, 0u);
     EXPECT_FALSE(r.fell_back_local);
     expect_dist_equals_serial(serial, r.merged);
   }
@@ -235,7 +235,7 @@ TEST(DistHarness, InjectionSiteTheWorkerLacksFailsTheShards) {
   inject::inject(inject::all_sites().front().id);
   dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
   inject::clear_injection();
-  EXPECT_GT(r.failed_shards, 0u);
+  EXPECT_GT(r.crashed_shards, 0u);
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kInconclusive);
 }
 
@@ -253,7 +253,7 @@ TEST(DistHarness, KilledWorkerShardIsRetriedAndMergedExactlyOnce) {
   d.worker_chaos.kill_on_assignment = 1;  // first forked worker only
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_GE(r.retries, 1u) << "the killed attempt must be rescheduled";
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
 }
@@ -270,7 +270,7 @@ TEST(DistHarness, TruncatedResultIsRejectedAndRetried) {
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_GE(r.corrupt_results, 1u);
   EXPECT_GE(r.retries, 1u);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
 }
 
@@ -286,7 +286,7 @@ TEST(DistHarness, CorruptResultIsRejectedAndRetried) {
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_GE(r.corrupt_results, 1u);
   EXPECT_GE(r.retries, 1u);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
 }
 
@@ -303,7 +303,7 @@ TEST(DistHarness, WorkerDyingMidResultWriteIsContained) {
   d.worker_chaos.die_mid_result_on = 1;
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_GE(r.retries, 1u);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
 }
 
@@ -330,7 +330,7 @@ TEST(DistHarness, MutedHeartbeatsExpireTheLeaseAndDropTheStaleResult) {
   EXPECT_GE(r.leases_expired, 1u);
   EXPECT_GE(r.retries, 1u);
   EXPECT_GE(r.stale_results, 1u);
-  EXPECT_EQ(r.failed_shards, 0u);
+  EXPECT_EQ(r.crashed_shards, 0u);
   expect_dist_equals_serial(serial, r.merged);
 }
 
@@ -416,7 +416,7 @@ TEST(DistHarness, CrashingShardChildFailsOnlyItsUnitTest) {
   d.max_shards = 1;  // one planned shard per unit test
   d.max_shard_retries = 2;
   dist::DistRunResult r = dist::run_benchmark_distributed(b, opts, d);
-  EXPECT_EQ(r.failed_shards, 1u);
+  EXPECT_EQ(r.crashed_shards, 1u);
   EXPECT_EQ(r.retries, 2u);
   EXPECT_EQ(r.connections_total, 2u) << "a worker died with its child";
   EXPECT_FALSE(r.fell_back_local);

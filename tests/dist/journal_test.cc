@@ -147,7 +147,7 @@ TEST(Journal, CrcCatchesAnySingleCorruptedByte) {
 TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
   const std::string path = tmp_path("torn.journal");
   const std::string qpath = path + ".quarantined";
-  const std::string magic = "cdsspec-journal v4\n";
+  const std::string magic = "cdsspec-journal v5\n";
   const std::string good1 = dist::render_journal_record(run_record());
   const std::string good2 = dist::render_journal_record(result_record());
   dist::JournalRecord last;
@@ -191,7 +191,7 @@ TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
 
 TEST(Journal, CorruptRecordTruncatesBackToLastGoodRecord) {
   const std::string path = tmp_path("corrupt.journal");
-  const std::string magic = "cdsspec-journal v4\n";
+  const std::string magic = "cdsspec-journal v5\n";
   const std::string good = dist::render_journal_record(run_record());
   std::string bad = dist::render_journal_record(result_record());
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);

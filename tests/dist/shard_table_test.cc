@@ -91,7 +91,7 @@ TEST(ShardTable, MergesInDfsOrderWhateverTheArrivalOrder) {
   t.accept(sub2, 0, "", result_with({"sub2"}));
   t.accept(sub1 + 3, 0, "", result_with({"sub1.2"}));
   t.accept(sub1 + 2, 0, "", result_with({"sub1.1"}));
-  ASSERT_EQ(t.minted(), 4u);
+  ASSERT_EQ(t.stats().minted, 4u);
   ASSERT_TRUE(t.all_resolved());
   const harness::RunResult r = t.finish();
   // DFS order: shard 0's partial, then its first sub-shard's partial and
@@ -128,8 +128,8 @@ TEST(ShardTable, ResumeReMintsTheJournaledSplitAtTheSameIndices) {
   }
   dist::ShardTable again(b, opts, 1, 8);
   ASSERT_TRUE(again.open_journal(path, true, {}, &err)) << err;
-  EXPECT_TRUE(again.resumed());
-  EXPECT_EQ(again.replayed(), 1u);
+  EXPECT_TRUE(again.stats().resumed);
+  EXPECT_EQ(again.stats().replayed_shards, 1u);
   ASSERT_EQ(again.size(), prefixes.size());
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     EXPECT_EQ(mc::render_choices(again.unit(i).prefix),
@@ -159,7 +159,7 @@ TEST(ShardTable, RequeueReturnsOnlyARunningShardToPending) {
   }
   EXPECT_FALSE(t.any_pending());
   EXPECT_TRUE(t.all_resolved());
-  EXPECT_EQ(t.failed(), t.planned() - 1);
+  EXPECT_EQ(t.stats().crashed_shards, t.planned() - 1);
 }
 
 TEST(ShardTable, OnlyBudgetsThatCutPiecesShortDisableSplitting) {
@@ -228,7 +228,7 @@ TEST(ShardTable, ASplitShardReachingTheCapReRunsWhole) {
     others += 2;
   }
   ASSERT_TRUE(t.all_resolved());
-  EXPECT_EQ(t.failed(), 0u);
+  EXPECT_EQ(t.stats().crashed_shards, 0u);
   const harness::RunResult r = t.finish();
   EXPECT_EQ(details_of(r), std::vector<std::string>{"whole"});
   EXPECT_EQ(r.mc.executions, 10 + others);

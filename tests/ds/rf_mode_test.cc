@@ -110,9 +110,9 @@ std::map<std::string, std::string> sweep_outcomes(const harness::Benchmark& b,
   const harness::InjectionSummary s = harness::run_injection_experiment(b, opts);
   std::map<std::string, std::string> out;
   for (const harness::InjectionOutcome& o : s.outcomes) {
-    out[o.site.name] = o.status == harness::TrialStatus::kCompleted
-                           ? harness::to_string(o.how)
-                           : harness::to_string(o.status);
+    out[o.site] = o.status == harness::TrialStatus::kCompleted
+                      ? harness::to_string(o.detection)
+                      : harness::to_string(o.status);
   }
   return out;
 }

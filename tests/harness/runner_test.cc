@@ -130,11 +130,11 @@ TEST(Harness, SweepSurvivesCrashingAndHangingTrials) {
   EXPECT_EQ(sum.outcomes[1].status, harness::TrialStatus::kTimedOut);
   EXPECT_TRUE(sum.outcomes[1].retried) << "one retry at a tighter cap";
   EXPECT_EQ(sum.outcomes[2].status, harness::TrialStatus::kCompleted);
-  EXPECT_EQ(sum.outcomes[2].how, harness::Detection::kNone);
+  EXPECT_EQ(sum.outcomes[2].detection, harness::Detection::kNone);
   // The in-body abort is contained: the trial *completes* with the crash
   // classified as a built-in detection, rather than killing the child.
   EXPECT_EQ(sum.outcomes[3].status, harness::TrialStatus::kCompleted);
-  EXPECT_EQ(sum.outcomes[3].how, harness::Detection::kBuiltin);
+  EXPECT_EQ(sum.outcomes[3].detection, harness::Detection::kBuiltin);
   EXPECT_EQ(sum.outcomes[3].verdict, mc::Verdict::kFalsified);
   EXPECT_EQ(inject::active_injection(), -1);
 }

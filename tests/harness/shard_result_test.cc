@@ -41,7 +41,7 @@ harness::RunResult full_result() {
 TEST(ShardResult, RoundTripCarriesRfCounters) {
   harness::RunResult r = full_result();
   std::string wire = harness::render_shard_result(r);
-  EXPECT_EQ(wire.rfind("shard-result v6", 0), 0u) << wire;
+  EXPECT_EQ(wire.rfind("shard-result v7", 0), 0u) << wire;
   harness::ShardResult back;
   std::string err;
   ASSERT_TRUE(harness::parse_shard_result(wire, &back, &err)) << err;

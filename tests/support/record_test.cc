@@ -2,9 +2,11 @@
 // randomized parse(render(x)) == x, field by field, with maximum values,
 // non-integral doubles and strings full of separators; every rejection
 // case names its key and writes nothing; difference() names the first key
-// that differs; merge_record follows each table's rules.
+// that differs; merge_record follows each table's rules; render_json
+// renders each value type and every table's keys in its text order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,7 +14,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "dist/coordinator.h"
+#include "harness/parallel.h"
+#include "harness/runner.h"
 #include "harness/shard_result.h"
+#include "harness/stress_backend.h"
 #include "mc/config.h"
 #include "mc/stats.h"
 #include "spec/checker.h"
@@ -345,6 +351,133 @@ TEST(Record, StrictNumberParsers) {
   EXPECT_EQ(d, 0.5);
   ASSERT_TRUE(support::parse_double("2.5e-3", &d));
   EXPECT_EQ(d, 2.5e-3);
+}
+
+TEST(Record, JsonRendersEachValueType) {
+  std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
+  bool yes = true, no = false;
+  mc::Verdict v = mc::Verdict::kFalsified;
+  std::string s = "a\"b\\c\td\ne";
+  double d = 2.5;
+  int i = 7;
+  const Field fields[] = {{"big", &big},
+                          {"yes", &yes},
+                          {"no", &no},
+                          {"verdict", support::enum_ref<3>(&v)},
+                          {"s", &s},
+                          {"d", &d},
+                          {"i", &i}};
+  EXPECT_EQ(support::render_json(fields),
+            "{\"big\": 18446744073709551615, \"yes\": true, \"no\": false, "
+            "\"verdict\": \"falsified\", \"s\": \"a\\\"b\\\\c\\td\\ne\", "
+            "\"d\": 2.5, \"i\": 7}");
+  // Doubles keep the text form's shortest exact decimal.
+  d = 0.1 + 0.2;
+  const Field one[] = {{"d", &d}};
+  EXPECT_EQ(support::render_json(one), "{\"d\": 0.30000000000000004}");
+
+  const std::vector<std::string> items = {"{}", "[1]"};
+  const support::JsonMember more[] = {
+      {"list", support::render_json_array(items)}, {"empty", "[]"}};
+  EXPECT_EQ(support::render_json(one, more),
+            "{\"d\": 0.30000000000000004,\n  \"list\": [\n    {},\n    "
+            "[1]],\n  \"empty\": []}");
+  EXPECT_EQ(support::render_json({}, more),
+            "{\n  \"list\": [\n    {},\n    [1]],\n  \"empty\": []}");
+}
+
+// The keys of a record's text form, and of its JSON object (top level).
+std::vector<std::string> text_keys(const std::string& text) {
+  std::vector<std::string> keys;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t sp = std::min(text.find(' ', pos), text.size());
+    const std::string tok = text.substr(pos, sp - pos);
+    keys.push_back(tok.substr(0, tok.find('=')));
+    pos = sp + 1;
+  }
+  return keys;
+}
+std::vector<std::string> json_keys(const std::string& json) {
+  std::vector<std::string> keys;
+  std::string cur;
+  bool in_string = false;
+  int depth = 0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      if (c == '\\') {
+        cur += json[++i];
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 1 && json.compare(i + 1, 2, ": ") == 0) {
+          keys.push_back(cur);
+        }
+      } else {
+        cur += c;
+      }
+    } else if (c == '"') {
+      in_string = true;
+      cur.clear();
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    }
+  }
+  return keys;
+}
+
+TEST(Record, JsonKeysFollowEveryTable) {
+  auto same_keys = [](std::span<const Field> fields) {
+    EXPECT_EQ(json_keys(support::render_json(fields)),
+              text_keys(support::render_fields(fields)));
+    EXPECT_EQ(json_keys(support::render_json(fields)).size(), fields.size());
+  };
+  support::Xorshift64 rng(0x15011ull);
+  for (int iter = 0; iter < 20; ++iter) {
+    ConfigRec c;
+    StatsRec s;
+    OptionsRec o;
+    SpecStatsRec ss;
+    UnitRec u;
+    dist::ShardRunStats run;
+    harness::InjectionOutcome outcome;
+    harness::InjectionSummary sum;
+    harness::StressStats stress;
+    const auto cf = c.fields();
+    const auto sf = s.fields();
+    const auto of = o.fields();
+    const auto ssf = ss.fields();
+    const auto uf = u.fields();
+    const auto runf = dist::fields(run);
+    const auto outf = harness::fields(outcome);
+    const auto sumf = harness::fields(sum);
+    const auto stressf = harness::fields(stress);
+    randomize(cf, rng);
+    randomize(sf, rng);
+    randomize(of, rng);
+    randomize(ssf, rng);
+    randomize(uf, rng);
+    randomize(runf, rng);
+    randomize(outf, rng);
+    randomize(sumf, rng);
+    randomize(stressf, rng);
+    same_keys(cf);
+    same_keys(sf);
+    same_keys(of);
+    same_keys(ssf);
+    same_keys(uf);
+    same_keys(runf);
+    same_keys(outf);
+    same_keys(sumf);
+    same_keys(stressf);
+  }
+  harness::ParallelRunResult par;
+  dist::DistRunResult dr;
+  dr.listen = "unix:/tmp/a \"b\".sock";
+  same_keys(harness::fields(par));
+  same_keys(dist::fields(dr));
 }
 
 }  // namespace

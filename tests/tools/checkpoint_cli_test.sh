@@ -26,7 +26,7 @@ test $? -eq 137 || fail "journaled run was not killed after its 2nd append"
 "$run" ticket-lock --inject 0 --checkpoint s.journal --resume \
   --trail-out resumed.trail > resumed.out
 test $? -eq 1 || fail "resumed run did not falsify"
-grep -q '^journal: epoch=2 (resumed)' resumed.out || fail "not resumed"
+grep -q '^parallel: .* epoch=2 resumed=1 ' resumed.out || fail "not resumed"
 test "$(summary plain.out)" = "$(summary resumed.out)" ||
   fail "resumed counters differ from the plain run"
 cmp plain.trail resumed.trail || fail "resumed --trail-out differs"

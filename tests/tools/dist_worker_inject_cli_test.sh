@@ -35,9 +35,10 @@ wait $cpid
 rc=$?
 cpid=
 test $rc -eq 1 || fail "coordinator exited $rc, not 1: $(cat coord.out)"
-grep -q '^dist: .*workers-peak=1 ' coord.out ||
+grep -q '^dist: .* workers_connected_peak=1 ' coord.out ||
   fail "no worker served the run: $(cat coord.out)"
-grep -q 'fell back' coord.out && fail "shards ran on the local fallback"
+grep -q '^dist: .* fell_back_local=0$' coord.out ||
+  fail "shards ran on the local fallback"
 test "$(summary serial.out)" = "$(summary coord.out)" ||
   fail "coordinator counters differ from the serial run"
 echo "ok"

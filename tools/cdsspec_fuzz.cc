@@ -19,6 +19,7 @@
 // Exit codes: 0 all oracles agreed, 1 disagreement found,
 //             2 usage or I/O error (unreadable input, failed export).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -49,9 +50,13 @@ constexpr int kExitAgreed = 0;
 constexpr int kExitDisagreed = 1;
 constexpr int kExitUsage = 2;
 
+using cds::support::Field;
 using cds::support::Flag;
-using cds::support::json_escape;
+using cds::support::JsonMember;
 using cds::support::parse_u64;
+using cds::support::render_fields;
+using cds::support::render_json;
+using cds::support::render_json_array;
 
 void usage(std::span<const Flag> flags) {
   std::printf(
@@ -95,9 +100,56 @@ struct Repro {
   cds::fuzz::OracleKind oracle{};
   std::string detail;
   cds::fuzz::Program program;  // minimized
-  std::string path;            // where it was written ("" if write failed)
-  std::string trail_path;      // witness .trail beside it ("" if none)
+  int ops = 0;                 // the minimized program's operations
+  std::string repro;           // where it was written ("" if write failed)
+  std::string trail;           // witness .trail beside it ("" if none)
 };
+
+// One disagreement as a record: an entry of --json's `disagreements`.
+std::array<Field, 7> fields(Repro& r) {
+  return {{
+      {"trial", &r.trial},
+      {"seed", &r.seed},
+      {"oracle", cds::support::enum_ref<3>(&r.oracle)},
+      {"ops", &r.ops},
+      {"repro", &r.repro},
+      {"trail", &r.trail},
+      {"detail", &r.detail},
+  }};
+}
+
+// A campaign's summary, in trial or replay mode (where each file counts as
+// a trial): the text summary line, the --json document and the
+// --metrics-out fuzz.* metrics (obs::Registry::add_record) all render it.
+struct Campaign {
+  std::string mode;
+  std::uint64_t seed = 0;
+  std::uint64_t trials_requested = 0;
+  std::uint64_t trials_completed = 0;
+  std::uint64_t trials_skipped = 0;
+  std::uint64_t oracle_checks = 0;
+  std::uint64_t oracle_disagreements = 0;  // minimized repros, in trial mode
+  std::uint64_t cross_backend_disagreements = 0;
+  bool timed_out = false;
+  double seconds = 0.0;
+};
+
+std::array<Field, 10> fields(Campaign& c) {
+  using cds::support::Merge;
+  return {{
+      {"mode", &c.mode},
+      {"seed", &c.seed},
+      {"trials_requested", &c.trials_requested, Merge::kSum},
+      {"trials_completed", &c.trials_completed, Merge::kSum},
+      {"trials_skipped", &c.trials_skipped, Merge::kSum},
+      {"oracle_checks", &c.oracle_checks, Merge::kSum},
+      {"oracle_disagreements", &c.oracle_disagreements, Merge::kSum},
+      {"cross_backend_disagreements", &c.cross_backend_disagreements,
+       Merge::kSum},
+      {"timed_out", &c.timed_out, Merge::kOr},
+      {"seconds", &c.seconds, Merge::kSum},
+  }};
+}
 
 // .trail "test" field for a witness execution: "litmus" for the repro
 // program itself, "litmus+t<T>.op<I>[.fail]" when the trail drives the
@@ -175,6 +227,7 @@ struct ExtraChecks {
   std::uint64_t stress_iters = 64;
   std::string herd_out;  // "" = no export
   std::string out_dir = ".";
+  FILE* log = stdout;  // status lines: stderr under --json
 };
 
 // "path/to/mp_relacq.litmus" -> "mp_relacq" (herd test / artifact name).
@@ -191,7 +244,8 @@ std::string stem_of(const std::string& path) {
 // the files could not be written.
 bool herd_export_one(const cds::fuzz::Program& p,
                      const cds::fuzz::OracleConfig& cfg,
-                     const std::string& name, const std::string& dir) {
+                     const std::string& name, const std::string& dir,
+                     FILE* log) {
   auto mb = cds::fuzz::mc_behaviors(p, cfg);
   if (!mb.exhausted) {
     std::fprintf(stderr,
@@ -206,8 +260,8 @@ bool herd_export_one(const cds::fuzz::Program& p,
                  err.c_str());
     return false;
   }
-  std::printf("herd-out: %s/%s.litmus + .expected (%zu states)\n",
-              dir.c_str(), name.c_str(), mb.behaviors.size());
+  std::fprintf(log, "herd-out: %s/%s.litmus + .expected (%zu states)\n",
+               dir.c_str(), name.c_str(), mb.behaviors.size());
   return true;
 }
 
@@ -302,15 +356,17 @@ bool cross_backend_disagrees(const cds::fuzz::Program& p,
   return true;
 }
 
+// Re-checks `files`, counting each as a trial of *c. Returns the exit code.
 int replay_files(const std::vector<std::string>& files,
-                 const cds::fuzz::OracleConfig& cfg, bool json,
-                 const ExtraChecks& ex) {
-  int disagreed = 0, failed = 0;
+                 const cds::fuzz::OracleConfig& cfg, const ExtraChecks& ex,
+                 Campaign* c) {
+  bool export_failed = false;
+  c->trials_requested = files.size();
   for (const std::string& path : files) {
     std::ifstream f(path);
     if (!f) {
       std::fprintf(stderr, "cdsspec-fuzz: cannot open '%s'\n", path.c_str());
-      ++failed;
+      ++c->trials_skipped;
       continue;
     }
     std::ostringstream buf;
@@ -320,19 +376,20 @@ int replay_files(const std::vector<std::string>& files,
     if (!cds::fuzz::Program::parse(buf.str(), &p, &err)) {
       std::fprintf(stderr, "cdsspec-fuzz: %s: parse error: %s\n", path.c_str(),
                    err.c_str());
-      ++failed;
+      ++c->trials_skipped;
       continue;
     }
     if (!ex.herd_out.empty() &&
-        !herd_export_one(p, cfg, stem_of(path), ex.herd_out)) {
-      ++failed;
+        !herd_export_one(p, cfg, stem_of(path), ex.herd_out, ex.log)) {
+      export_failed = true;
     }
     if (ex.cross_backend) {
       std::string detail;
+      ++c->oracle_checks;
       if (cross_backend_disagrees(p, cfg, ex, stem_of(path), &detail)) {
-        ++disagreed;
-        std::printf("%s: DISAGREEMENT [cross-backend] %s\n", path.c_str(),
-                    detail.c_str());
+        ++c->cross_backend_disagreements;
+        std::fprintf(ex.log, "%s: DISAGREEMENT [cross-backend] %s\n",
+                     path.c_str(), detail.c_str());
       }
     }
     // Trail fast-path: a witness .trail beside the .litmus replays the one
@@ -381,11 +438,13 @@ int replay_files(const std::vector<std::string>& files,
                            "oracles\n",
                            tpath.c_str(), tf.detail.c_str(), behavior.c_str());
             } else {
-              ++disagreed;
-              std::printf("%s: witness reproduced via trail [%s]: %s "
-                          "(%zu choices)\n",
-                          path.c_str(), tf.kind.c_str(), behavior.c_str(),
-                          tf.choices.size());
+              ++c->trials_completed;
+              ++c->oracle_disagreements;
+              std::fprintf(ex.log,
+                           "%s: witness reproduced via trail [%s]: %s "
+                           "(%zu choices)\n",
+                           path.c_str(), tf.kind.c_str(), behavior.c_str(),
+                           tf.choices.size());
               continue;
             }
           }
@@ -396,22 +455,25 @@ int replay_files(const std::vector<std::string>& files,
     if (res.skipped) {
       std::fprintf(stderr, "cdsspec-fuzz: %s: skipped: %s\n", path.c_str(),
                    res.skip_reason.c_str());
-      ++failed;
+      ++c->trials_skipped;
       continue;
     }
-    if (!res.disagreements.empty()) {
-      ++disagreed;
-      for (const auto& d : res.disagreements) {
-        std::printf("%s: DISAGREEMENT [%s] %s\n", path.c_str(),
-                    to_string(d.oracle), d.detail.c_str());
-      }
-    } else if (!json) {
-      std::printf("%s: ok (%d oracle checks)\n", path.c_str(),
-                  res.oracles_run);
+    ++c->trials_completed;
+    c->oracle_checks += static_cast<std::uint64_t>(res.oracles_run);
+    c->oracle_disagreements += res.disagreements.size();
+    for (const auto& d : res.disagreements) {
+      std::fprintf(ex.log, "%s: DISAGREEMENT [%s] %s\n", path.c_str(),
+                   to_string(d.oracle), d.detail.c_str());
+    }
+    if (res.disagreements.empty()) {
+      std::fprintf(ex.log, "%s: ok (%d oracle checks)\n", path.c_str(),
+                   res.oracles_run);
     }
   }
-  if (failed > 0) return kExitUsage;
-  return disagreed > 0 ? kExitDisagreed : kExitAgreed;
+  if (c->trials_skipped > 0 || export_failed) return kExitUsage;
+  return c->oracle_disagreements + c->cross_backend_disagreements > 0
+             ? kExitDisagreed
+             : kExitAgreed;
 }
 
 }  // namespace
@@ -465,30 +527,54 @@ int main(int argc, char** argv) {
                  ex.herd_out.c_str());
     return kExitUsage;
   }
-  if (!replay.empty()) {
-    // Deterministic order regardless of directory enumeration order.
-    std::sort(replay.begin(), replay.end());
-    return replay_files(replay, cfg, json, ex);
-  }
-  if (trials == 0) {
+  if (replay.empty() && trials == 0) {
     usage(flags);
     return kExitUsage;
   }
 
+  // Under --json, stdout holds the one summary document.
+  if (json) ex.log = stderr;
   auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
+  Campaign c;
+  // Prints the summary and writes the metrics: the campaign's last step
+  // in either mode.
+  auto finish = [&](std::span<const JsonMember> more, int code) {
+    c.seconds = elapsed();
+    if (json) {
+      std::printf("%s\n", render_json(fields(c), more).c_str());
+    } else {
+      std::printf("campaign: %s\n", render_fields(fields(c)).c_str());
+    }
+    cds::obs::Registry m;
+    m.add_record("fuzz.", fields(c));
+    std::string werr;
+    if (!metrics_out.empty() &&
+        !cds::mc::write_text_file_atomic(metrics_out, m.to_json(), &werr)) {
+      std::fprintf(stderr, "cdsspec-fuzz: cannot write '%s': %s\n",
+                   metrics_out.c_str(), werr.c_str());
+    }
+    return code;
+  };
+  if (!replay.empty()) {
+    // Deterministic order regardless of directory enumeration order.
+    std::sort(replay.begin(), replay.end());
+    c.mode = "replay";
+    c.seed = cfg.seed;
+    return finish({}, replay_files(replay, cfg, ex, &c));
+  }
 
-  std::uint64_t done = 0, skipped = 0, checks = 0;
-  std::uint64_t cross_disagreed = 0;
+  c.mode = "trials";
+  c.seed = base_seed;
+  c.trials_requested = trials;
   std::uint64_t export_failed = 0;
-  bool timed_out = false;
   std::vector<Repro> repros;
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
     if (timeout > 0.0 && elapsed() >= timeout) {
-      timed_out = true;
+      c.timed_out = true;
       break;
     }
     // Per-trial seeds derive from the base seed alone, so one number
@@ -498,30 +584,27 @@ int main(int argc, char** argv) {
     tcfg.seed = seed;
     cds::fuzz::Program p = cds::fuzz::generate(profile_for(trial), seed);
     auto res = cds::fuzz::check_program(p, tcfg);
-    ++done;
-    checks += static_cast<std::uint64_t>(res.oracles_run);
+    ++c.trials_completed;
+    c.oracle_checks += static_cast<std::uint64_t>(res.oracles_run);
     if (res.skipped) {
-      ++skipped;
+      ++c.trials_skipped;
       continue;
     }
     const std::string trial_name = "seed" + std::to_string(seed);
     if (!ex.herd_out.empty() &&
-        !herd_export_one(p, tcfg, trial_name, ex.herd_out)) {
+        !herd_export_one(p, tcfg, trial_name, ex.herd_out, ex.log)) {
       ++export_failed;
     }
     if (ex.cross_backend) {
       std::string detail;
+      ++c.oracle_checks;
       if (cross_backend_disagrees(p, tcfg, ex, trial_name, &detail)) {
-        ++cross_disagreed;
-        ++checks;
-        if (!json) {
-          std::printf("trial %llu seed %llu: DISAGREEMENT [cross-backend]\n"
-                      "  %s\n",
-                      static_cast<unsigned long long>(trial),
-                      static_cast<unsigned long long>(seed), detail.c_str());
-        }
-      } else {
-        ++checks;
+        ++c.cross_backend_disagreements;
+        std::fprintf(ex.log,
+                     "trial %llu seed %llu: DISAGREEMENT [cross-backend]\n"
+                     "  %s\n",
+                     static_cast<unsigned long long>(trial),
+                     static_cast<unsigned long long>(seed), detail.c_str());
       }
     }
     for (const auto& d : res.disagreements) {
@@ -533,15 +616,16 @@ int main(int argc, char** argv) {
       // Minimize the base program while the same oracle kind still fires.
       cds::fuzz::MinimizeStats ms;
       r.program = cds::fuzz::minimize(
-          p, [&](const cds::fuzz::Program& c) {
-            return reproduces(c, d.oracle, tcfg);
+          p, [&](const cds::fuzz::Program& cand) {
+            return reproduces(cand, d.oracle, tcfg);
           },
           &ms);
-      r.path = write_repro(ex.out_dir, r);
+      r.ops = r.program.total_ops();
+      r.repro = write_repro(ex.out_dir, r);
       // Pin the disagreement down to one replayable execution: a .trail
       // beside the .litmus lets --replay confirm the witness in a single
       // deterministic run instead of a full oracle sweep.
-      if (!r.path.empty()) {
+      if (!r.repro.empty()) {
         cds::fuzz::WitnessTrail wt;
         if (cds::fuzz::witness_trail(r.program, tcfg, d.oracle, &wt)) {
           cds::mc::TrailFile tf;
@@ -550,95 +634,41 @@ int main(int argc, char** argv) {
           tf.kind = cds::fuzz::to_string(d.oracle);
           tf.detail = wt.behavior;
           tf.choices = wt.choices;
-          std::string tpath = r.path.substr(0, r.path.size() - 7) + ".trail";
+          std::string tpath =
+              r.repro.substr(0, r.repro.size() - 7) + ".trail";
           std::string terr;
           if (cds::mc::write_trail_file(tpath, tf, &terr)) {
-            r.trail_path = tpath;
+            r.trail = tpath;
           } else {
             std::fprintf(stderr, "cdsspec-fuzz: cannot write '%s': %s\n",
                          tpath.c_str(), terr.c_str());
           }
         }
       }
-      if (!json) {
-        std::printf("trial %llu seed %llu: DISAGREEMENT [%s]\n  %s\n"
-                    "  minimized to %d ops (%d probes)%s%s%s%s\n",
-                    static_cast<unsigned long long>(trial),
-                    static_cast<unsigned long long>(seed),
-                    to_string(d.oracle), d.detail.c_str(),
-                    r.program.total_ops(), ms.probes,
-                    r.path.empty() ? "" : ", repro: ", r.path.c_str(),
-                    r.trail_path.empty() ? "" : ", trail: ",
-                    r.trail_path.c_str());
-      }
+      std::fprintf(ex.log,
+                   "trial %llu seed %llu: DISAGREEMENT [%s]\n  %s\n"
+                   "  minimized to %d ops (%d probes)%s%s%s%s\n",
+                   static_cast<unsigned long long>(trial),
+                   static_cast<unsigned long long>(seed), to_string(d.oracle),
+                   d.detail.c_str(), r.ops, ms.probes,
+                   r.repro.empty() ? "" : ", repro: ", r.repro.c_str(),
+                   r.trail.empty() ? "" : ", trail: ", r.trail.c_str());
+      ++c.oracle_disagreements;
       repros.push_back(std::move(r));
     }
   }
 
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"seed\": %llu,\n",
-                static_cast<unsigned long long>(base_seed));
-    std::printf("  \"trials_requested\": %llu,\n",
-                static_cast<unsigned long long>(trials));
-    std::printf("  \"trials_completed\": %llu,\n",
-                static_cast<unsigned long long>(done));
-    std::printf("  \"trials_skipped\": %llu,\n",
-                static_cast<unsigned long long>(skipped));
-    std::printf("  \"oracle_checks\": %llu,\n",
-                static_cast<unsigned long long>(checks));
-    std::printf("  \"cross_backend_disagreements\": %llu,\n",
-                static_cast<unsigned long long>(cross_disagreed));
-    std::printf("  \"timed_out\": %s,\n", timed_out ? "true" : "false");
-    std::printf("  \"seconds\": %.2f,\n", elapsed());
-    std::printf("  \"disagreements\": [\n");
-    for (std::size_t i = 0; i < repros.size(); ++i) {
-      const Repro& r = repros[i];
-      std::printf(
-          "    {\"trial\": %llu, \"seed\": %llu, \"oracle\": \"%s\", "
-          "\"ops\": %d, \"repro\": \"%s\", \"trail\": \"%s\", "
-          "\"detail\": \"%s\"}%s\n",
-          static_cast<unsigned long long>(r.trial),
-          static_cast<unsigned long long>(r.seed),
-          to_string(r.oracle), r.program.total_ops(),
-          json_escape(r.path).c_str(), json_escape(r.trail_path).c_str(),
-          json_escape(r.detail).c_str(), i + 1 < repros.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-  } else {
-    std::printf(
-        "%llu/%llu trials (%llu skipped), %llu oracle checks, "
-        "%zu disagreements (%llu cross-backend)%s in %.1fs (seed %llu)\n",
-        static_cast<unsigned long long>(done),
-        static_cast<unsigned long long>(trials),
-        static_cast<unsigned long long>(skipped),
-        static_cast<unsigned long long>(checks),
-        repros.size() + static_cast<std::size_t>(cross_disagreed),
-        static_cast<unsigned long long>(cross_disagreed),
-        timed_out ? " (timeout)" : "", elapsed(),
-        static_cast<unsigned long long>(base_seed));
-  }
-  if (!metrics_out.empty()) {
-    cds::obs::Registry m;
-    m.counter("fuzz.trials").add(done);
-    m.counter("fuzz.trials_skipped").add(skipped);
-    m.counter("fuzz.oracle_checks").add(checks);
-    m.counter("fuzz.disagreements").add(repros.size());
-    m.counter("fuzz.cross_backend_disagreements").add(cross_disagreed);
-    m.gauge("fuzz.timed_out").set(timed_out ? 1 : 0);
-    m.timer("fuzz.campaign").add_ns(
-        static_cast<std::uint64_t>(elapsed() * 1e9));
-    std::string err;
-    if (!cds::mc::write_text_file_atomic(metrics_out, m.to_json(), &err)) {
-      std::fprintf(stderr, "cdsspec-fuzz: cannot write '%s': %s\n",
-                   metrics_out.c_str(), err.c_str());
-    }
-  }
+  int code = c.oracle_disagreements + c.cross_backend_disagreements > 0
+                 ? kExitDisagreed
+                 : kExitAgreed;
   if (export_failed > 0) {
     std::fprintf(stderr, "cdsspec-fuzz: --herd-out: %llu export(s) failed\n",
                  static_cast<unsigned long long>(export_failed));
-    return kExitUsage;
+    code = kExitUsage;
   }
-  return (repros.empty() && cross_disagreed == 0) ? kExitAgreed
-                                                  : kExitDisagreed;
+  std::vector<std::string> found;
+  for (Repro& r : repros) found.push_back(render_json(fields(r)));
+  const JsonMember more[] = {
+      {"disagreements", render_json_array(found)}};
+  return finish(more, code);
 }

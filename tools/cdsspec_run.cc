@@ -37,6 +37,7 @@ constexpr int kExitFalsified = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitInconclusive = 3;
 
+using cds::support::Field;
 using cds::support::Flag;
 using cds::support::parse_u64;
 
@@ -185,20 +186,16 @@ int replay_trail(const std::string& path) {
   return kExitVerified;
 }
 
-using cds::support::json_escape;
-
-const char* bstr(bool b) { return b ? "true" : "false"; }
-
-// Writes `tf` to `path` and says so: "wrote <what>: ...".
+// Writes `tf` to `path` and says so on `out`: "wrote <what>: ...".
 void write_trail(const std::string& path, const cds::mc::TrailFile& tf,
-                 const char* what) {
+                 const char* what, FILE* out) {
   std::string err;
   if (!cds::mc::write_trail_file(path, tf, &err)) {
     std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n", path.c_str(),
                  err.c_str());
   } else {
-    std::printf("wrote %s: %s (%s in %s)\n", what, path.c_str(),
-                tf.kind.c_str(), tf.test_name.c_str());
+    std::fprintf(out, "wrote %s: %s (%s in %s)\n", what, path.c_str(),
+                 tf.kind.c_str(), tf.test_name.c_str());
   }
 }
 
@@ -254,151 +251,21 @@ void print_result(const cds::harness::RunResult& r, bool reports) {
   }
 }
 
-void print_result_json(const std::string& benchmark,
-                       const cds::harness::RunResult& r,
-                       const cds::harness::ParallelRunResult* par = nullptr,
-                       const cds::dist::DistRunResult* dist = nullptr) {
-  std::printf("{\n");
-  std::printf("  \"benchmark\": \"%s\",\n", json_escape(benchmark).c_str());
-  std::printf("  \"mode\": \"run\",\n");
-  if (par != nullptr) {
-    std::printf("  \"parallel\": {\n");
-    std::printf("    \"jobs\": %d,\n", par->jobs);
-    std::printf("    \"shards\": %llu,\n",
-                static_cast<unsigned long long>(par->shards));
-    std::printf("    \"crashed_shards\": %llu,\n",
-                static_cast<unsigned long long>(par->crashed_shards));
-    std::printf("    \"probe_executions\": %llu,\n",
-                static_cast<unsigned long long>(par->probe_executions));
-    std::printf("    \"steals\": %llu,\n",
-                static_cast<unsigned long long>(par->steals));
-    std::printf("    \"minted\": %llu,\n",
-                static_cast<unsigned long long>(par->minted));
-    std::printf("    \"epoch\": %llu,\n",
-                static_cast<unsigned long long>(par->epoch));
-    std::printf("    \"resumed\": %s,\n", bstr(par->resumed));
-    std::printf("    \"replayed_shards\": %llu,\n",
-                static_cast<unsigned long long>(par->replayed_shards));
-    std::printf("    \"journal_quarantined_bytes\": %llu\n",
-                static_cast<unsigned long long>(par->journal_quarantined_bytes));
-    std::printf("  },\n");
-  }
-  if (dist != nullptr) {
-    std::printf("  \"dist\": {\n");
-    std::printf("    \"listen\": \"%s\",\n",
-                json_escape(dist->listen_address).c_str());
-    std::printf("    \"shards\": %llu,\n",
-                static_cast<unsigned long long>(dist->shards));
-    std::printf("    \"probe_executions\": %llu,\n",
-                static_cast<unsigned long long>(dist->probe_executions));
-    std::printf("    \"workers_connected_peak\": %llu,\n",
-                static_cast<unsigned long long>(dist->workers_connected));
-    std::printf("    \"connections_total\": %llu,\n",
-                static_cast<unsigned long long>(dist->connections_total));
-    std::printf("    \"retries\": %llu,\n",
-                static_cast<unsigned long long>(dist->retries));
-    std::printf("    \"leases_expired\": %llu,\n",
-                static_cast<unsigned long long>(dist->leases_expired));
-    std::printf("    \"steals\": %llu,\n",
-                static_cast<unsigned long long>(dist->steals));
-    std::printf("    \"steal_subshards\": %llu,\n",
-                static_cast<unsigned long long>(dist->steal_subshards));
-    std::printf("    \"failed_shards\": %llu,\n",
-                static_cast<unsigned long long>(dist->failed_shards));
-    std::printf("    \"stale_results\": %llu,\n",
-                static_cast<unsigned long long>(dist->stale_results));
-    std::printf("    \"corrupt_results\": %llu,\n",
-                static_cast<unsigned long long>(dist->corrupt_results));
-    std::printf("    \"fell_back_local\": %s,\n", bstr(dist->fell_back_local));
-    std::printf("    \"epoch\": %llu,\n",
-                static_cast<unsigned long long>(dist->epoch));
-    std::printf("    \"resumed\": %s,\n", bstr(dist->resumed));
-    std::printf("    \"replayed_shards\": %llu,\n",
-                static_cast<unsigned long long>(dist->replayed_shards));
-    std::printf("    \"fenced_results\": %llu,\n",
-                static_cast<unsigned long long>(dist->fenced_results));
-    std::printf("    \"journal_quarantined_bytes\": %llu\n",
-                static_cast<unsigned long long>(
-                    dist->journal_quarantined_bytes));
-    std::printf("  },\n");
-  }
-  std::printf("  \"seed\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.seed));
-  std::printf("  \"verdict\": \"%s\",\n", to_string(r.verdict));
-  std::printf("  \"exit_code\": %d,\n", exit_code_for(r.verdict));
-  std::printf("  \"coverage\": {\n");
-  std::printf("    \"executions\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.executions));
-  std::printf("    \"feasible\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.feasible));
-  std::printf("    \"sampled\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.sampled));
-  std::printf("    \"pruned_bound\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.pruned_bound));
-  std::printf("    \"pruned_livelock\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.pruned_livelock));
-  std::printf("    \"pruned_redundant\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.pruned_redundant));
-  std::printf("    \"rf_classes\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.rf_classes));
-  std::printf("    \"rf_infeasible\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.rf_infeasible));
-  std::printf("    \"max_trail_depth\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.max_trail_depth));
-  std::printf("    \"exhausted\": %s\n", bstr(r.mc.exhausted));
-  std::printf("  },\n");
-  std::printf("  \"budgets\": {\n");
-  std::printf("    \"hit_execution_cap\": %s,\n", bstr(r.mc.hit_execution_cap));
-  std::printf("    \"hit_time_budget\": %s,\n", bstr(r.mc.hit_time_budget));
-  std::printf("    \"hit_memory_budget\": %s,\n", bstr(r.mc.hit_memory_budget));
-  std::printf("    \"watchdog_fired\": %s\n", bstr(r.mc.watchdog_fired));
-  std::printf("  },\n");
-  std::printf("  \"detections\": {\n");
-  std::printf("    \"builtin\": %s,\n", bstr(r.detected_builtin()));
-  std::printf("    \"admissibility\": %s,\n", bstr(r.detected_admissibility()));
-  std::printf("    \"assertion\": %s,\n", bstr(r.detected_assertion()));
-  std::printf("    \"violations_total\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.violations_total));
-  std::printf("    \"engine_fatal_execs\": %llu\n",
-              static_cast<unsigned long long>(r.mc.engine_fatal_execs));
-  std::printf("  },\n");
-  std::printf("  \"seconds\": %.3f\n", r.mc.seconds);
-  std::printf("}\n");
-}
+using cds::support::JsonMember;
+using cds::support::render_fields;
+using cds::support::render_json;
+using cds::support::render_json_array;
 
-void print_sweep_json(const cds::harness::InjectionSummary& sum,
-                      std::uint64_t seed) {
-  std::printf("{\n");
-  std::printf("  \"benchmark\": \"%s\",\n",
-              json_escape(sum.benchmark).c_str());
-  std::printf("  \"mode\": \"sweep\",\n");
-  std::printf("  \"seed\": %llu,\n", static_cast<unsigned long long>(seed));
-  std::printf("  \"trials\": [\n");
-  for (std::size_t i = 0; i < sum.outcomes.size(); ++i) {
-    const auto& o = sum.outcomes[i];
-    std::printf("    {\"site\": \"%s\", \"default\": \"%s\", "
-                "\"weakened\": \"%s\", \"status\": \"%s\", "
-                "\"detection\": \"%s\", \"verdict\": \"%s\", "
-                "\"retried\": %s, \"term_signal\": %d, \"seconds\": %.3f}%s\n",
-                json_escape(o.site.name).c_str(), to_string(o.site.def),
-                to_string(o.site.weakened()),
-                cds::harness::to_string(o.status),
-                cds::harness::to_string(o.how), to_string(o.verdict),
-                bstr(o.retried), o.term_signal, o.seconds,
-                i + 1 < sum.outcomes.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  std::printf("  \"summary\": {\n");
-  std::printf("    \"injections\": %d,\n", sum.injections);
-  std::printf("    \"builtin\": %d,\n", sum.builtin);
-  std::printf("    \"admissibility\": %d,\n", sum.admissibility);
-  std::printf("    \"assertion\": %d,\n", sum.assertion);
-  std::printf("    \"undetected\": %d,\n", sum.undetected);
-  std::printf("    \"crashed\": %d,\n", sum.crashed);
-  std::printf("    \"timed_out\": %d,\n", sum.timed_out);
-  std::printf("    \"detection_rate\": %.4f\n", sum.detection_rate());
-  std::printf("  }\n");
-  std::printf("}\n");
+// Prints the one --json document of a run: its benchmark, mode and seed,
+// then `head`'s fields and the named blocks, each rendered from a record
+// table (support/record.h).
+void print_json(std::string benchmark, std::string mode, std::uint64_t seed,
+                std::span<const Field> head,
+                std::span<const JsonMember> blocks) {
+  std::vector<Field> f = {
+      {"benchmark", &benchmark}, {"mode", &mode}, {"seed", &seed}};
+  f.insert(f.end(), head.begin(), head.end());
+  std::printf("%s\n", render_json(f, blocks).c_str());
 }
 
 }  // namespace
@@ -587,6 +454,10 @@ int main(int argc, char** argv) {
     return refuse("--chaos-coord-* apply to --checkpoint, --jobs and "
                   "--dist-workers runs only");
   }
+  if (json && (sites || dot)) {
+    return refuse("--json applies to runs, --sweep and --backend stress, "
+                  "not --sites or --dot");
+  }
   if (have_stress_flag && !stress_mode) {
     return refuse("--iters/--threads-mult apply to --backend stress only");
   }
@@ -597,6 +468,9 @@ int main(int argc, char** argv) {
                   "--sweep, --dot, --jobs, --dist-workers/--coordinator, "
                   "--checkpoint/--resume, --metrics-out and --trace-out");
   }
+
+  // Under --json, stdout holds the one document; status lines go to stderr.
+  FILE* status = json ? stderr : stdout;
 
   if (sites) {
     int i = 0;
@@ -617,15 +491,26 @@ int main(int argc, char** argv) {
       opts.engine.time_budget_seconds *= 0.9;
     }
     auto sum = cds::harness::run_injection_experiment(*b, opts, sweep_opts);
+    // A campaign with crashed or timed-out trials has holes in its
+    // coverage: inconclusive, not verified.
+    int code = (sum.crashed > 0 || sum.timed_out > 0) ? kExitInconclusive
+                                                      : kExitVerified;
     if (json) {
-      print_sweep_json(sum, sweep_opts.seed);
+      double rate = sum.detection_rate();
+      std::vector<std::string> trials;
+      for (auto& o : sum.outcomes) trials.push_back(render_json(fields(o)));
+      const Field head[] = {{"detection_rate", &rate}, {"exit_code", &code}};
+      const JsonMember blocks[] = {
+          {"summary", render_json(fields(sum))},
+          {"trials", render_json_array(trials)}};
+      print_json(b->name, "sweep", sweep_opts.seed, head, blocks);
     } else {
       for (const auto& o : sum.outcomes) {
         const char* how = o.status == cds::harness::TrialStatus::kCompleted
-                              ? cds::harness::to_string(o.how)
+                              ? cds::harness::to_string(o.detection)
                               : cds::harness::to_string(o.status);
-        std::printf("%-42s %-8s -> %s%s\n", o.site.name.c_str(),
-                    to_string(o.site.def), how, o.retried ? " (retried)" : "");
+        std::printf("%-42s %-8s -> %s%s\n", o.site.c_str(), to_string(o.def),
+                    how, o.retried ? " (retried)" : "");
       }
       std::printf(
           "detection rate: %.0f%% (%d/%d completed; %d crashed, %d timed "
@@ -634,10 +519,7 @@ int main(int argc, char** argv) {
           sum.completed(), sum.crashed, sum.timed_out,
           static_cast<unsigned long long>(sweep_opts.seed));
     }
-    // A campaign with crashed or timed-out trials has holes in its
-    // coverage: inconclusive, not verified.
-    return (sum.crashed > 0 || sum.timed_out > 0) ? kExitInconclusive
-                                                  : kExitVerified;
+    return code;
   }
 
   std::string injected_site_name;
@@ -645,8 +527,8 @@ int main(int argc, char** argv) {
     std::uint64_t i = 0;
     for (const auto& s : cds::inject::sites_for(b->name)) {
       if (!s.injectable() || i++ != inject_idx) continue;
-      std::printf("injecting: %s (%s -> %s)\n", s.name.c_str(),
-                  to_string(s.def), to_string(s.weakened()));
+      std::fprintf(status, "injecting: %s (%s -> %s)\n", s.name.c_str(),
+                   to_string(s.def), to_string(s.weakened()));
       cds::inject::inject(s.id);
       injected_site_name = s.name;
       break;
@@ -686,11 +568,7 @@ int main(int argc, char** argv) {
       cds::harness::StressOptions topts = sopts;
       topts.seed = cds::support::derive_seed(opts.engine.seed, ti);
       auto res = cds::harness::run_stress(b->tests[ti], topts);
-      total.iterations += res.stats.iterations;
-      total.violations_total += res.stats.violations_total;
-      total.spec_histories_checked += res.stats.spec_histories_checked;
-      total.spec_cap_hits += res.stats.spec_cap_hits;
-      total.seconds += res.stats.seconds;
+      cds::support::merge_record(total, res.stats);
       for (auto& v : res.violations) {
         if (found.size() < cds::harness::StressRunResult::kMaxRecorded) {
           found.emplace_back(ti, std::move(v));
@@ -701,56 +579,26 @@ int main(int argc, char** argv) {
         if (sopts.stop_on_first_violation) break;
       }
     }
-    const cds::mc::Verdict verdict = falsified
-                                         ? cds::mc::Verdict::kFalsified
+    cds::mc::Verdict verdict = falsified ? cds::mc::Verdict::kFalsified
                                          : cds::mc::Verdict::kInconclusive;
     if (json) {
-      std::printf("{\n");
-      std::printf("  \"benchmark\": \"%s\",\n",
-                  json_escape(b->name).c_str());
-      std::printf("  \"mode\": \"stress\",\n");
-      std::printf("  \"seed\": %llu,\n",
-                  static_cast<unsigned long long>(opts.engine.seed));
-      std::printf("  \"iters\": %llu,\n",
-                  static_cast<unsigned long long>(sopts.iters));
-      std::printf("  \"threads_mult\": %llu,\n",
-                  static_cast<unsigned long long>(sopts.threads_mult));
-      std::printf("  \"iterations\": %llu,\n",
-                  static_cast<unsigned long long>(total.iterations));
-      std::printf("  \"violations_total\": %llu,\n",
-                  static_cast<unsigned long long>(total.violations_total));
-      std::printf("  \"spec_histories\": %llu,\n",
-                  static_cast<unsigned long long>(
-                      total.spec_histories_checked));
-      std::printf("  \"spec_cap_hits\": %llu,\n",
-                  static_cast<unsigned long long>(total.spec_cap_hits));
-      std::printf("  \"verdict\": \"%s\",\n", to_string(verdict));
-      std::printf("  \"exit_code\": %d,\n", exit_code_for(verdict));
-      std::printf("  \"seconds\": %.3f\n", total.seconds);
-      std::printf("}\n");
+      int code = exit_code_for(verdict);
+      const Field head[] = {{"verdict", enum_ref<3>(&verdict)},
+                            {"exit_code", &code}};
+      const JsonMember blocks[] = {{"stats", render_json(fields(total))}};
+      print_json(b->name, "stress", opts.engine.seed, head, blocks);
     } else {
-      std::printf(
-          "backend=stress iterations=%llu (%llu per unit test, "
-          "threads-mult %llu) violations=%llu\n",
-          static_cast<unsigned long long>(total.iterations),
-          static_cast<unsigned long long>(sopts.iters),
-          static_cast<unsigned long long>(sopts.threads_mult),
-          static_cast<unsigned long long>(total.violations_total));
-      std::printf("spec: histories=%llu unresolved-by-cap=%llu\n",
-                  static_cast<unsigned long long>(
-                      total.spec_histories_checked),
-                  static_cast<unsigned long long>(total.spec_cap_hits));
+      std::printf("stress: %s\n", render_fields(fields(total)).c_str());
       for (const auto& [ti, v] : found) {
         std::printf("violation in %s#%zu (iteration %llu): %s: %s\n",
                     b->name.c_str(), ti,
                     static_cast<unsigned long long>(v.iteration),
                     cds::mc::wire_name(v.kind), v.detail.c_str());
       }
-      std::printf("time=%.2fs seed=%llu\n", total.seconds,
-                  static_cast<unsigned long long>(opts.engine.seed));
       std::printf(
-          "verdict=%s (stress samples real schedules: it can falsify, "
-          "never verify)\n",
+          "seed=%llu verdict=%s (stress samples real schedules: it can "
+          "falsify, never verify)\n",
+          static_cast<unsigned long long>(opts.engine.seed),
           to_string(verdict));
     }
     if (!trail_out.empty()) {
@@ -769,7 +617,7 @@ int main(int argc, char** argv) {
         tf.detail = v.detail;
         tf.inject_site = injected_site_name;
         tf.choices = v.decisions;
-        write_trail(trail_out, tf, "stress repro trail");
+        write_trail(trail_out, tf, "stress repro trail", status);
       }
     }
     cds::inject::clear_injection();
@@ -815,54 +663,28 @@ int main(int argc, char** argv) {
   // replaying a violation trail needs the same weakened memory order that
   // shaped it.
   if (json) {
-    print_result_json(b->name, r, pooled ? &par : nullptr,
-                      dist_mode ? &dist : nullptr);
+    int code = exit_code_for(r.verdict);
+    bool builtin = r.detected_builtin();
+    bool admissibility = r.detected_admissibility();
+    bool assertion = r.detected_assertion();
+    const Field head[] = {{"verdict", enum_ref<3>(&r.verdict)},
+                          {"exit_code", &code}};
+    const Field detections[] = {{"builtin", &builtin},
+                                {"admissibility", &admissibility},
+                                {"assertion", &assertion}};
+    std::vector<JsonMember> blocks = {
+        {"stats", render_json(fields(r.mc))},
+        {"spec", render_json(fields(r.spec))},
+        {"detections", render_json(detections)}};
+    if (pooled) blocks.push_back({"parallel", render_json(fields(par))});
+    if (dist_mode) blocks.push_back({"dist", render_json(fields(dist))});
+    print_json(b->name, "run", opts.engine.seed, head, blocks);
   } else {
     if (dist_mode) {
-      std::printf(
-          "dist: listen=%s workers-peak=%llu shards=%llu retries=%llu "
-          "leases-expired=%llu steals=%llu(+%llu sub-shards) failed=%llu "
-          "stale=%llu corrupt=%llu%s\n",
-          dist.listen_address.c_str(),
-          static_cast<unsigned long long>(dist.workers_connected),
-          static_cast<unsigned long long>(dist.shards),
-          static_cast<unsigned long long>(dist.retries),
-          static_cast<unsigned long long>(dist.leases_expired),
-          static_cast<unsigned long long>(dist.steals),
-          static_cast<unsigned long long>(dist.steal_subshards),
-          static_cast<unsigned long long>(dist.failed_shards),
-          static_cast<unsigned long long>(dist.stale_results),
-          static_cast<unsigned long long>(dist.corrupt_results),
-          dist.fell_back_local ? " (fell back to local fork pool)" : "");
-      if (dist.epoch != 0) {
-        std::printf(
-            "journal: epoch=%llu%s replayed=%llu fenced=%llu "
-            "quarantined-bytes=%llu\n",
-            static_cast<unsigned long long>(dist.epoch),
-            dist.resumed ? " (resumed)" : "",
-            static_cast<unsigned long long>(dist.replayed_shards),
-            static_cast<unsigned long long>(dist.fenced_results),
-            static_cast<unsigned long long>(dist.journal_quarantined_bytes));
-      }
+      std::printf("dist: %s\n", render_fields(fields(dist)).c_str());
     }
-    if (parallel) {
-      std::printf("parallel: jobs=%d shards=%llu (%llu minted by %llu "
-                  "steals) crashed=%llu probe-executions=%llu\n",
-                  par.jobs, static_cast<unsigned long long>(par.shards),
-                  static_cast<unsigned long long>(par.minted),
-                  static_cast<unsigned long long>(par.steals),
-                  static_cast<unsigned long long>(par.crashed_shards),
-                  static_cast<unsigned long long>(par.probe_executions));
-    }
-    if (pooled && par.epoch != 0) {
-      std::printf(
-          "journal: epoch=%llu%s shards=%llu replayed=%llu "
-          "quarantined-bytes=%llu\n",
-          static_cast<unsigned long long>(par.epoch),
-          par.resumed ? " (resumed)" : "",
-          static_cast<unsigned long long>(par.shards),
-          static_cast<unsigned long long>(par.replayed_shards),
-          static_cast<unsigned long long>(par.journal_quarantined_bytes));
+    if (pooled) {
+      std::printf("parallel: %s\n", render_fields(fields(par)).c_str());
     }
     print_result(r, reports);
   }
@@ -892,7 +714,7 @@ int main(int argc, char** argv) {
       tf.detail = pick->detail;
       tf.inject_site = injected_site_name;
       tf.choices = pick->trail;
-      write_trail(trail_out, tf, "repro trail");
+      write_trail(trail_out, tf, "repro trail", status);
     }
   }
 
@@ -904,7 +726,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n",
                    metrics_out.c_str(), err.c_str());
     } else {
-      std::printf("wrote metrics: %s\n", metrics_out.c_str());
+      std::fprintf(status, "wrote metrics: %s\n", metrics_out.c_str());
     }
   }
 
@@ -977,10 +799,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cdsspec-run: cannot write '%s': %s\n",
                    trace_out.c_str(), err.c_str());
     } else {
-      std::printf("wrote chrome trace: %s (%zu events%s; open in Perfetto "
-                  "or chrome://tracing)\n",
-                  trace_out.c_str(), engine.trace().size(),
-                  pick != nullptr ? ", violating execution" : "");
+      std::fprintf(status,
+                   "wrote chrome trace: %s (%zu events%s; open in Perfetto "
+                   "or chrome://tracing)\n",
+                   trace_out.c_str(), engine.trace().size(),
+                   pick != nullptr ? ", violating execution" : "");
     }
   }
   cds::inject::clear_injection();
